@@ -1,16 +1,24 @@
-"""Shared consensus machinery: quorum arithmetic and protocol actions.
+"""Shared consensus machinery: quorum arithmetic, protocol actions and the
+engine contract.
 
 State machines return lists of :class:`Action` objects; the host (the
 replica pipeline, or a test harness) interprets them.  Keeping protocol
 logic free of I/O and timing makes safety properties directly testable.
+:class:`Engine` is everything the host asks an engine beyond handing it
+messages, so the host never needs to know which protocol it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.consensus.messages import ClientRequest
+from repro.crypto.hashing import digest_bytes
 from repro.net.message import Message
+
+#: execution-history hash of the empty history (Zyzzyva's ``h_0``)
+GENESIS_HISTORY = digest_bytes(b"zyzzyva-genesis")
 
 
 @dataclass(frozen=True)
@@ -156,3 +164,147 @@ class EnterView(Action):
     the new primary's pipeline enables its batch/sequencing stages)."""
 
     view: int
+
+
+# ----------------------------------------------------------------------
+# the engine contract
+# ----------------------------------------------------------------------
+class Engine:
+    """What the replica host asks a consensus engine.
+
+    Besides ``handle_<message>`` for each protocol message it accepts and
+    ``advance_stable(sequence)``, every engine answers:
+
+    - ``is_primary``: may this replica propose right now?
+    - ``propose(digest, batch) -> (proposal, actions)``: order the batch
+      (hashed by the caller) at the engine's next sequence number;
+      ``proposal.sequence`` is the execution sequence.  Raises
+      :class:`ProposalError` when no proposal can be made now, without
+      consuming a sequence number.
+    - ``forward_target(sender, request_id)``: where a replica that cannot
+      propose forwards a client request.
+    - ``proposer_of(sequence, view)``: who proposed an executed batch.
+    - ``steer_target(sender, request_id)``: where a client sends first.
+
+    The members defined here carry the defaults: class attributes state
+    fixed protocol properties, methods the single-proposal-stream answers.
+    """
+
+    #: the engine replaces faulty primaries by view change, so the host
+    #: arms view-change timers and forward probes; such an engine has
+    #: ``in_view_change``, ``on_view_change_timeout`` and ``suspect_primary``
+    has_view_change = False
+    #: the host runs a periodic ``balance_actions()`` pass
+    rebalances = False
+    #: history-hash bytes the primary digests per proposal, and every
+    #: replica per executed batch (the host charges the CPU)
+    propose_hash_bytes = 0
+    execute_hash_bytes = 0
+    #: execution history a speculative response reports
+    exec_history_hash = GENESIS_HISTORY
+    #: clients arm a commit-certificate timer after a send (Zyzzyva's
+    #: slow path) instead of a retransmit timer
+    client_certifies = False
+    #: clients are steered across several proposing lanes: retransmits go
+    #: to one rotating fallback replica, and a busy-NACK marks the lane of
+    #: its sender busy so retries rotate over ``lane_primaries()``
+    client_lanes = False
+
+    @staticmethod
+    def spec_reply_quorum(quorum: QuorumConfig) -> int:
+        """Matching speculative responses that complete a request."""
+        return quorum.certificate_quorum
+
+    def nack_lane(self, sender: str, request_id: int) -> Optional[int]:
+        """The lane a busy-NACK for this request names, if any."""
+        return None
+
+    def execution_sequence(self, message: Message) -> int:
+        """Execution sequence of the slot a protocol message votes on."""
+        return message.sequence
+
+    def record_execution(self, digest: str) -> None:
+        """The host executed the next batch, whose digest is ``digest``."""
+
+    def adopt_state(self, executed_sequence: int, log_slice) -> None:
+        """State transfer installed a quorum-attested state through
+        ``executed_sequence``; ``log_slice`` holds the adopted (sequence,
+        digest) entries."""
+        self.advance_stable(executed_sequence)
+
+
+class SingleLeaderEngine(Engine):
+    """An engine with one primary per view, rotating round the replica
+    list; clients contact the view-0 primary and replicas forward.
+    Subclasses keep their per-sequence state in ``slots``."""
+
+    def __init__(
+        self,
+        replica_id: str,
+        replica_ids: Tuple[str, ...],
+        quorum: QuorumConfig,
+        sequence_window: int = 100_000,
+    ):
+        if replica_id not in replica_ids:
+            raise ValueError(f"{replica_id!r} not in replica set")
+        if len(replica_ids) != quorum.n:
+            raise ValueError(
+                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
+            )
+        self.replica_id = replica_id
+        self.replica_ids = tuple(replica_ids)
+        self.quorum = quorum
+        self.sequence_window = sequence_window
+        self.view = 0
+        #: next sequence this replica proposes at while primary
+        self.next_sequence = 1
+        self.stable_sequence = 0
+        #: statistics the host surfaces in experiment reports
+        self.rejected_messages = 0
+
+    def primary_of(self, view: int) -> str:
+        return self.replica_ids[view % len(self.replica_ids)]
+
+    @property
+    def is_primary(self) -> bool:
+        return self.primary_of(self.view) == self.replica_id
+
+    def _require_primary(self) -> None:
+        if not self.is_primary:
+            raise NotPrimaryError(
+                f"{self.replica_id} is not primary of view {self.view}"
+            )
+
+    def advance_stable(self, sequence: int) -> int:
+        """Host notification: checkpoint at ``sequence`` became stable.
+
+        Garbage-collects per-sequence state (``slots``) at or below the
+        new horizon and returns how many entries were dropped.
+        """
+        if sequence <= self.stable_sequence:
+            return 0
+        self.stable_sequence = sequence
+        old = [s for s in self.slots if s <= sequence]
+        for s in old:
+            del self.slots[s]
+        return len(old)
+
+    def _reject(self) -> list:
+        """Count a rejected message; handlers return the empty action list."""
+        self.rejected_messages += 1
+        return []
+
+    def _in_window(self, sequence: int) -> bool:
+        return (
+            self.stable_sequence < sequence
+            <= self.stable_sequence + self.sequence_window
+        )
+
+    def forward_target(self, sender: str, request_id: int) -> str:
+        return self.primary_of(self.view)
+
+    def proposer_of(self, sequence: int, view: int) -> str:
+        return self.primary_of(view)
+
+    def steer_target(self, sender: str, request_id: int) -> str:
+        return self.primary_of(0)

@@ -1,4 +1,4 @@
-"""Protocol message types for PBFT and Zyzzyva.
+"""Protocol message types for PBFT, Zyzzyva and PoE.
 
 Every type subclasses :class:`repro.net.Message` (the §4.8 base-class
 design).  Wire sizes approximate a compact binary encoding; the request
@@ -549,3 +549,44 @@ class LocalCommit(Message):
 
     def signable_fields(self) -> tuple:
         return (self.kind, self.sender, self.view, self.sequence)
+
+
+class Propose(Message):
+    """PoE phase 1: primary → backups."""
+
+    kind = "poe-propose"
+
+    __slots__ = ("view", "sequence", "digest", "request")
+
+    def __init__(self, sender, view, sequence, digest, request):
+        super().__init__(sender)
+        self.view = view
+        self.sequence = sequence
+        self.digest = digest
+        self.request = request
+
+    def payload_bytes(self) -> int:
+        return 48 + self.request.payload_bytes()
+
+    def signable_fields(self) -> tuple:
+        return (self.kind, self.sender, self.view, self.sequence, self.digest)
+
+
+class Support(Message):
+    """PoE phase 2: all → all (the quadratic phase)."""
+
+    kind = "poe-support"
+
+    __slots__ = ("view", "sequence", "digest")
+
+    def __init__(self, sender, view, sequence, digest):
+        super().__init__(sender)
+        self.view = view
+        self.sequence = sequence
+        self.digest = digest
+
+    def payload_bytes(self) -> int:
+        return 48 + 32
+
+    def signable_fields(self) -> tuple:
+        return (self.kind, self.sender, self.view, self.sequence, self.digest)

@@ -32,9 +32,8 @@ from repro.consensus.base import (
     CancelViewChangeTimer,
     EnterView,
     ExecuteReady,
-    NotPrimaryError,
     ProposalError,
-    QuorumConfig,
+    SingleLeaderEngine,
     StartViewChangeTimer,
     ViewChangeInProgress,
 )
@@ -65,43 +64,16 @@ class Slot:
     committed: bool = False
 
 
-class PbftReplica:
+class PbftReplica(SingleLeaderEngine):
     """One replica's PBFT engine.  I/O-free; returns actions."""
 
-    def __init__(
-        self,
-        replica_id: str,
-        replica_ids: Tuple[str, ...],
-        quorum: QuorumConfig,
-        sequence_window: int = 100_000,
-    ):
-        if replica_id not in replica_ids:
-            raise ValueError(f"{replica_id!r} not in replica set")
-        if len(replica_ids) != quorum.n:
-            raise ValueError(
-                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
-            )
-        self.replica_id = replica_id
-        self.replica_ids = tuple(replica_ids)
-        self.quorum = quorum
-        self.sequence_window = sequence_window
-        self.view = 0
+    has_view_change = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.in_view_change = False
-        self.stable_sequence = 0
         self.slots: Dict[int, Slot] = {}
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
-        #: statistics the host surfaces in experiment reports
-        self.rejected_messages = 0
-
-    # ------------------------------------------------------------------
-    # roles
-    # ------------------------------------------------------------------
-    def primary_of(self, view: int) -> str:
-        return self.replica_ids[view % len(self.replica_ids)]
-
-    @property
-    def is_primary(self) -> bool:
-        return self.primary_of(self.view) == self.replica_id
 
     def _slot(self, sequence: int) -> Slot:
         slot = self.slots.get(sequence)
@@ -110,26 +82,26 @@ class PbftReplica:
             self.slots[sequence] = slot
         return slot
 
-    def _in_window(self, sequence: int) -> bool:
-        return (
-            self.stable_sequence < sequence
-            <= self.stable_sequence + self.sequence_window
-        )
-
     # ------------------------------------------------------------------
     # normal case: primary
     # ------------------------------------------------------------------
+    def propose(
+        self, digest: str, request: ClientRequest
+    ) -> Tuple[PrePrepare, List[Action]]:
+        """Primary only: propose ``request`` at the next sequence number.
+
+        The caller (batch-thread) computed and paid for ``digest``.  A
+        failed proposal consumes no sequence number.
+        """
+        proposal = self.make_preprepare(self.next_sequence, digest, request)
+        self.next_sequence += 1
+        return proposal
+
     def make_preprepare(
         self, sequence: int, digest: str, request: ClientRequest
     ) -> Tuple[PrePrepare, List[Action]]:
-        """Primary only: propose ``request`` at ``sequence``.
-
-        The caller (batch-thread) computed and paid for ``digest``.
-        """
-        if not self.is_primary:
-            raise NotPrimaryError(
-                f"{self.replica_id} is not primary of view {self.view}"
-            )
+        """Primary only: propose ``request`` at ``sequence``."""
+        self._require_primary()
         if self.in_view_change:
             raise ViewChangeInProgress("cannot propose during a view change")
         slot = self._slot(sequence)
@@ -145,19 +117,15 @@ class PbftReplica:
     # ------------------------------------------------------------------
     def handle_preprepare(self, message: PrePrepare) -> List[Action]:
         if self.in_view_change or message.view != self.view:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if message.sender != self.primary_of(message.view):
-            self.rejected_messages += 1  # only the primary may propose
-            return []
+            return self._reject()  # only the primary may propose
         if not self._in_window(message.sequence):
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         slot = self._slot(message.sequence)
         if slot.preprepare is not None and slot.digest != message.digest:
             # equivocating primary: keep the first proposal, drop this one
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if slot.sent_prepare:
             return []
         slot.preprepare = message
@@ -176,25 +144,20 @@ class PbftReplica:
 
     def handle_prepare(self, message: Prepare) -> List[Action]:
         if self.in_view_change or message.view != self.view:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if message.sender == self.primary_of(message.view):
-            self.rejected_messages += 1  # the primary never sends Prepare
-            return []
+            return self._reject()  # the primary never sends Prepare
         if not self._in_window(message.sequence):
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         slot = self._slot(message.sequence)
         self._record_prepare(slot, message.sender, message.digest)
         return self._maybe_commit(message.sequence, slot)
 
     def handle_commit(self, message: Commit) -> List[Action]:
         if self.in_view_change or message.view != self.view:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if not self._in_window(message.sequence):
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         slot = self._slot(message.sequence)
         voters = slot.commits.setdefault(message.digest, set())
         if message.sender not in voters:
@@ -259,21 +222,14 @@ class PbftReplica:
         ]
 
     # ------------------------------------------------------------------
-    # checkpoint integration
+    # state transfer
     # ------------------------------------------------------------------
-    def advance_stable(self, sequence: int) -> int:
-        """Host notification: checkpoint at ``sequence`` became stable.
-
-        Garbage-collects consensus slots at or below the new horizon and
-        returns how many were dropped.
-        """
-        if sequence <= self.stable_sequence:
-            return 0
-        self.stable_sequence = sequence
-        old = [s for s in self.slots if s <= sequence]
-        for s in old:
-            del self.slots[s]
-        return len(old)
+    def adopt_state(self, executed_sequence: int, log_slice) -> None:
+        super().adopt_state(executed_sequence, log_slice)
+        # adopting a quorum-attested state is proof the system is live; a
+        # lone, never-quorate primary suspicion would otherwise wedge this
+        # replica in in_view_change forever
+        self.in_view_change = False
 
     # ------------------------------------------------------------------
     # view change
@@ -311,8 +267,7 @@ class PbftReplica:
 
     def handle_view_change(self, message: ViewChange) -> List[Action]:
         if message.new_view <= self.view:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         votes = self._view_change_votes.setdefault(message.new_view, {})
         votes[message.sender] = message
         actions: List[Action] = []
@@ -369,18 +324,16 @@ class PbftReplica:
             self.slots[sequence] = Slot()
             _message, propose_actions = self.make_preprepare(sequence, digest, request)
             actions.extend(propose_actions)
+        self._resequence()
         return actions
 
     def handle_new_view(self, message: NewView) -> List[Action]:
         if message.new_view <= self.view:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if message.sender != self.primary_of(message.new_view):
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if len(set(message.view_change_voters)) < self.quorum.view_change_quorum:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         actions = self._enter_view(message.new_view)
         # reset uncommitted carried slots; the new primary's fresh
         # pre-prepares will re-run the agreement in the new view
@@ -388,7 +341,15 @@ class PbftReplica:
             slot = self.slots.get(sequence)
             if slot is not None and not slot.committed:
                 self.slots[sequence] = Slot()
+        self._resequence()
         return actions
+
+    def _resequence(self) -> None:
+        """Entered a new view: should this replica lead it (now or after
+        later view changes), it proposes above every sequence it has
+        seen, carried re-proposals and gap fillers included."""
+        high = max([self.stable_sequence] + list(self.slots))
+        self.next_sequence = max(self.next_sequence, high + 1)
 
     def _enter_view(self, new_view: int) -> List[Action]:
         self.view = new_view

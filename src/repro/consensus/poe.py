@@ -28,50 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro.consensus.base import Action, Broadcast, ExecuteReady, QuorumConfig
-from repro.consensus.messages import ClientRequest
-from repro.net.message import Message
-
-
-class Propose(Message):
-    """PoE phase 1: primary → backups."""
-
-    kind = "poe-propose"
-
-    __slots__ = ("view", "sequence", "digest", "request")
-
-    def __init__(self, sender, view, sequence, digest, request):
-        super().__init__(sender)
-        self.view = view
-        self.sequence = sequence
-        self.digest = digest
-        self.request = request
-
-    def payload_bytes(self) -> int:
-        return 48 + self.request.payload_bytes()
-
-    def signable_fields(self) -> tuple:
-        return (self.kind, self.sender, self.view, self.sequence, self.digest)
-
-
-class Support(Message):
-    """PoE phase 2: all → all (the quadratic phase)."""
-
-    kind = "poe-support"
-
-    __slots__ = ("view", "sequence", "digest")
-
-    def __init__(self, sender, view, sequence, digest):
-        super().__init__(sender)
-        self.view = view
-        self.sequence = sequence
-        self.digest = digest
-
-    def payload_bytes(self) -> int:
-        return 48 + 32
-
-    def signable_fields(self) -> tuple:
-        return (self.kind, self.sender, self.view, self.sequence, self.digest)
+from repro.consensus.base import Action, Broadcast, ExecuteReady, SingleLeaderEngine
+from repro.consensus.messages import ClientRequest, Propose, Support
 
 
 @dataclass
@@ -83,38 +41,12 @@ class _PoeSlot:
     executed: bool = False
 
 
-class PoeReplica:
+class PoeReplica(SingleLeaderEngine):
     """One replica's PoE engine.  I/O-free; returns actions."""
 
-    def __init__(
-        self,
-        replica_id: str,
-        replica_ids: Tuple[str, ...],
-        quorum: QuorumConfig,
-        sequence_window: int = 100_000,
-    ):
-        if replica_id not in replica_ids:
-            raise ValueError(f"{replica_id!r} not in replica set")
-        if len(replica_ids) != quorum.n:
-            raise ValueError(
-                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
-            )
-        self.replica_id = replica_id
-        self.replica_ids = tuple(replica_ids)
-        self.quorum = quorum
-        self.sequence_window = sequence_window
-        self.view = 0
-        self.next_order_sequence = 1
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.slots: Dict[int, _PoeSlot] = {}
-        self.stable_sequence = 0
-        self.rejected_messages = 0
-
-    def primary_of(self, view: int) -> str:
-        return self.replica_ids[view % len(self.replica_ids)]
-
-    @property
-    def is_primary(self) -> bool:
-        return self.primary_of(self.view) == self.replica_id
 
     def _slot(self, sequence: int) -> _PoeSlot:
         slot = self.slots.get(sequence)
@@ -126,13 +58,12 @@ class PoeReplica:
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def make_propose(
+    def propose(
         self, digest: str, request: ClientRequest
     ) -> Tuple[Propose, List[Action]]:
-        if not self.is_primary:
-            raise RuntimeError(f"{self.replica_id} is not primary of view {self.view}")
-        sequence = self.next_order_sequence
-        self.next_order_sequence += 1
+        self._require_primary()
+        sequence = self.next_sequence
+        self.next_sequence += 1
         message = Propose(self.replica_id, self.view, sequence, digest, request)
         slot = self._slot(sequence)
         slot.propose = message
@@ -149,19 +80,12 @@ class PoeReplica:
     # ------------------------------------------------------------------
     def handle_propose(self, message: Propose) -> List[Action]:
         if message.view != self.view or message.sender != self.primary_of(self.view):
-            self.rejected_messages += 1
-            return []
-        if not (
-            self.stable_sequence
-            < message.sequence
-            <= self.stable_sequence + self.sequence_window
-        ):
-            self.rejected_messages += 1
-            return []
+            return self._reject()
+        if not self._in_window(message.sequence):
+            return self._reject()
         slot = self._slot(message.sequence)
         if slot.propose is not None and slot.digest != message.digest:
-            self.rejected_messages += 1  # equivocation: first wins
-            return []
+            return self._reject()  # equivocation: first wins
         if slot.sent_support:
             return []
         slot.propose = message
@@ -175,15 +99,9 @@ class PoeReplica:
 
     def handle_support(self, message: Support) -> List[Action]:
         if message.view != self.view:
-            self.rejected_messages += 1
-            return []
-        if not (
-            self.stable_sequence
-            < message.sequence
-            <= self.stable_sequence + self.sequence_window
-        ):
-            self.rejected_messages += 1
-            return []
+            return self._reject()
+        if not self._in_window(message.sequence):
+            return self._reject()
         slot = self._slot(message.sequence)
         self._record_support(slot, message.sender, message.digest)
         return self._maybe_execute(message.sequence, slot)
@@ -206,13 +124,3 @@ class PoeReplica:
                 speculative=True,  # execution precedes any commit proof
             )
         ]
-
-    # ------------------------------------------------------------------
-    def advance_stable(self, sequence: int) -> int:
-        if sequence <= self.stable_sequence:
-            return 0
-        self.stable_sequence = sequence
-        old = [s for s in self.slots if s <= sequence]
-        for s in old:
-            del self.slots[s]
-        return len(old)

@@ -27,7 +27,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.consensus.base import Action, Broadcast, ExecuteReady, QuorumConfig, SendTo
+from repro.consensus.base import (
+    GENESIS_HISTORY,
+    Action,
+    Broadcast,
+    ExecuteReady,
+    QuorumConfig,
+    SendTo,
+    SingleLeaderEngine,
+)
 from repro.consensus.messages import (
     ClientRequest,
     CommitCertificate,
@@ -36,72 +44,58 @@ from repro.consensus.messages import (
 )
 from repro.crypto.hashing import digest_bytes
 
-#: history hash of the empty history
-GENESIS_HISTORY = digest_bytes(b"zyzzyva-genesis")
-
 
 def extend_history(history_hash: str, digest: str) -> str:
     """``h_n = H(h_{n-1} ‖ d_n)`` — the caller pays the digest cost."""
     return digest_bytes(f"{history_hash}|{digest}".encode("utf-8"))
 
 
-class ZyzzyvaReplica:
+class ZyzzyvaReplica(SingleLeaderEngine):
     """One replica's Zyzzyva engine.  I/O-free; returns actions."""
 
-    def __init__(
-        self,
-        replica_id: str,
-        replica_ids: Tuple[str, ...],
-        quorum: QuorumConfig,
-        sequence_window: int = 100_000,
-    ):
-        if replica_id not in replica_ids:
-            raise ValueError(f"{replica_id!r} not in replica set")
-        if len(replica_ids) != quorum.n:
-            raise ValueError(
-                f"replica set size {len(replica_ids)} != quorum n {quorum.n}"
-            )
-        self.replica_id = replica_id
-        self.replica_ids = tuple(replica_ids)
-        self.quorum = quorum
-        self.sequence_window = sequence_window
-        self.view = 0
+    #: the primary extends its ordered history per proposal; every
+    #: replica extends its execution history per executed batch
+    propose_hash_bytes = 64
+    execute_hash_bytes = 96
+    client_certifies = True
+
+    @staticmethod
+    def spec_reply_quorum(quorum: QuorumConfig) -> int:
+        return quorum.fast_path_quorum
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         #: primary-side ordered history (the primary computes the chain as
         #: it assigns sequence numbers)
         self.history_hash = GENESIS_HISTORY
-        self.next_order_sequence = 1
-        #: backup-side record of accepted order-requests
-        self.accepted: Dict[int, str] = {}
+        #: execution-side history ``h_n`` over executed batches, which
+        #: every speculative response reports
+        self.exec_history_hash = GENESIS_HISTORY
+        #: sequence -> digest of every accepted order-request
+        self.slots: Dict[int, str] = {}
         #: highest sequence covered by a commit certificate we have seen
         self.max_committed = 0
-        self.stable_sequence = 0
-        self.rejected_messages = 0
 
-    def primary_of(self, view: int) -> str:
-        return self.replica_ids[view % len(self.replica_ids)]
-
-    @property
-    def is_primary(self) -> bool:
-        return self.primary_of(self.view) == self.replica_id
+    def record_execution(self, digest: str) -> None:
+        self.exec_history_hash = extend_history(self.exec_history_hash, digest)
 
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def make_order_request(
+    def propose(
         self, digest: str, request: ClientRequest
     ) -> Tuple[OrderRequest, List[Action]]:
         """Primary only: assign the next sequence number and order the
         request.  The primary extends the history chain here, so sequence
         assignment and history are atomic."""
-        if not self.is_primary:
-            raise RuntimeError(f"{self.replica_id} is not primary of view {self.view}")
-        sequence = self.next_order_sequence
-        self.next_order_sequence += 1
+        self._require_primary()
+        sequence = self.next_sequence
+        self.next_sequence += 1
         self.history_hash = extend_history(self.history_hash, digest)
         message = OrderRequest(
             self.replica_id, self.view, sequence, digest, self.history_hash, request
         )
-        self.accepted[sequence] = digest
+        self.slots[sequence] = digest
         # the primary executes speculatively too and answers the client
         return message, [
             Broadcast(message),
@@ -118,24 +112,17 @@ class ZyzzyvaReplica:
     # ------------------------------------------------------------------
     def handle_order_request(self, message: OrderRequest) -> List[Action]:
         if message.view != self.view:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if message.sender != self.primary_of(message.view):
-            self.rejected_messages += 1
-            return []
-        if not (
-            self.stable_sequence
-            < message.sequence
-            <= self.stable_sequence + self.sequence_window
-        ):
-            self.rejected_messages += 1
-            return []
-        known = self.accepted.get(message.sequence)
+            return self._reject()
+        if not self._in_window(message.sequence):
+            return self._reject()
+        known = self.slots.get(message.sequence)
         if known is not None:
             if known != message.digest:
                 self.rejected_messages += 1  # equivocation: keep first
             return []
-        self.accepted[message.sequence] = message.digest
+        self.slots[message.sequence] = message.digest
         return [
             ExecuteReady(
                 sequence=message.sequence,
@@ -149,11 +136,9 @@ class ZyzzyvaReplica:
         """Client slow path: acknowledge a 2f+1 certificate."""
         responders = set(message.responders)
         if len(responders) < self.quorum.certificate_quorum:
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         if not responders.issubset(set(self.replica_ids)):
-            self.rejected_messages += 1
-            return []
+            return self._reject()
         self.max_committed = max(self.max_committed, message.sequence)
         return [
             SendTo(
@@ -161,15 +146,3 @@ class ZyzzyvaReplica:
                 LocalCommit(self.replica_id, message.view, message.sequence),
             )
         ]
-
-    # ------------------------------------------------------------------
-    # checkpoint integration
-    # ------------------------------------------------------------------
-    def advance_stable(self, sequence: int) -> int:
-        if sequence <= self.stable_sequence:
-            return 0
-        self.stable_sequence = sequence
-        old = [s for s in self.accepted if s <= sequence]
-        for s in old:
-            del self.accepted[s]
-        return len(old)

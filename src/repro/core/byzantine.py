@@ -39,10 +39,11 @@ from repro.consensus.messages import (
     OrderRequest,
     Prepare,
     PrePrepare,
+    Propose,
     RequestBatch,
     SpecResponse,
+    Support,
 )
-from repro.consensus.poe import Propose, Support
 from repro.crypto.hashing import digest_bytes
 
 #: message types that carry a proposal (primary → backups) for each engine

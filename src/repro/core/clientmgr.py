@@ -70,6 +70,10 @@ class ClientGroup:
         self.name = f"client{index}"
         self.logical_clients = logical_clients
         self.endpoint = system.network.register(self.name)
+        #: the protocol's client rules and steering (see
+        #: repro.consensus.base.Engine), as the view-0 primary's engine
+        #: states them
+        self.rules = system.replicas[system.replica_ids[0]].engine
         rng = system.rng.fork(self.name)
         self.workload = YCSBWorkload(
             rng,
@@ -157,7 +161,7 @@ class ClientGroup:
         if spans.enabled:
             spans.begin((self.name, request_id), self.sim.now)
         self.system.network.send(self.name, target, request)
-        if config.protocol == "zyzzyva":
+        if self.rules.client_certifies:
             pending.timer = Timer(
                 self.sim,
                 config.zyzzyva_client_timeout,
@@ -171,15 +175,15 @@ class ClientGroup:
             )
 
     def _steer_target(self, request_id: int) -> str:
-        target = self.system.steer_replica(self.name, request_id)
-        if self.config.protocol != "rcc" or not self._lane_busy_until:
+        target = self.rules.steer_target(self.name, request_id)
+        if not self._lane_busy_until:  # only lane-steered clients fill it
             return target
         now = self.sim.now
         if self._lane_busy_until.get(target, 0) <= now:
             return target
         # the steered lane is busy: rotate deterministically to the first
         # lane primary that has not recently said Busy
-        primaries = self.system.lane_primaries()
+        primaries = self.rules.lane_primaries()
         if target not in primaries:
             return target
         start = primaries.index(target)
@@ -200,12 +204,12 @@ class ClientGroup:
             return
         pending.retransmissions += 1
         replica_ids = self.system.replica_ids
-        if self.config.protocol == "rcc":
+        if self.rules.client_lanes:
             # the steer target may be a dead lane primary; fail over to a
             # single rotating fallback, which forwards to the lane's
             # *current* primary — broadcasting from every steered-away
             # client would square the message load under one crash
-            target = self.system.steer_replica(self.name, request_id)
+            target = self.rules.steer_target(self.name, request_id)
             index = replica_ids.index(target)
             fallback = replica_ids[
                 (index + pending.retransmissions) % len(replica_ids)
@@ -233,7 +237,7 @@ class ClientGroup:
         congestion signal (shrink the window, back off, steer away)."""
         self.busy_nacks_received += 1
         self.window.on_congestion(self.sim.now)
-        if self.config.protocol == "rcc":
+        if self.rules.client_lanes:
             self._lane_busy_until[message.sender] = (
                 self.sim.now + self.backoff.delay(1)
             )
@@ -248,7 +252,7 @@ class ClientGroup:
         if pending.timer is not None:
             pending.timer.cancel()
         delay = self.backoff.delay(pending.retransmissions + pending.nacks)
-        if self.config.protocol == "zyzzyva":
+        if self.rules.client_certifies:
             pending.timer = Timer(
                 self.sim, delay, self._retry_zyzzyva, request_id
             )
@@ -296,12 +300,8 @@ class ClientGroup:
     def _inbox_loop(self):
         quorum_needed = self.system.quorum.client_response_quorum
         # Zyzzyva's fast path needs every replica to answer identically;
-        # PoE's speculative responses already carry a 2f+1 support quorum,
-        # so 2f+1 matching responses complete the request
-        if self.config.protocol == "zyzzyva":
-            fast_needed = self.system.quorum.fast_path_quorum
-        else:
-            fast_needed = self.system.quorum.certificate_quorum
+        # PoE's speculative responses already carry a 2f+1 support quorum
+        fast_needed = self.rules.spec_reply_quorum(self.system.quorum)
         commit_needed = self.system.quorum.certificate_quorum
         upper_bound = not self.config.consensus_enabled
         while True:

@@ -220,7 +220,9 @@ class SystemConfig:
 
     # ------------------------------------------------------------------
     def __post_init__(self):
-        if self.protocol not in ("pbft", "zyzzyva", "poe", "rcc"):
+        from repro.engines import ENGINES
+
+        if self.protocol not in ENGINES:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.num_replicas < 4:
             raise ValueError("BFT needs at least 4 replicas")

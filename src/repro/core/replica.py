@@ -53,13 +53,9 @@ from repro.consensus.messages import (
     RequestBatch,
     SpecResponse,
 )
+from repro.engines import make_engine
 from repro.flow import AdmissionController, FlowStats
-from repro.consensus.pbft import PbftReplica
-from repro.consensus.poe import PoeReplica
-from repro.consensus.zyzzyva import GENESIS_HISTORY, ZyzzyvaReplica, extend_history
 from repro.crypto.hashing import digest_bytes, digest_cost
-from repro.multi.coordinator import InstanceCoordinator
-from repro.multi.unifier import global_sequence
 from repro.net.message import Message
 from repro.sim.events import SimEvent, Timer
 from repro.sim.queues import SimPriorityQueue, SimQueue
@@ -90,16 +86,7 @@ class Replica:
         quorum = QuorumConfig(n=config.num_replicas, f=config.f)
         self.quorum = quorum
         replica_ids = system.replica_ids
-        if config.protocol == "pbft":
-            self.engine = PbftReplica(replica_id, replica_ids, quorum)
-        elif config.protocol == "zyzzyva":
-            self.engine = ZyzzyvaReplica(replica_id, replica_ids, quorum)
-        elif config.protocol == "rcc":
-            self.engine = InstanceCoordinator(
-                replica_id, replica_ids, quorum, config.num_primaries
-            )
-        else:
-            self.engine = PoeReplica(replica_id, replica_ids, quorum)
+        self.engine = make_engine(config, replica_id, replica_ids, quorum)
 
         # -- overload protection (repro.flow) ---------------------------
         self.flow = FlowStats()
@@ -185,7 +172,6 @@ class Replica:
         #: (the checkpoint-consistency oracle cross-checks these)
         self.checkpoint_digests: Dict[int, str] = {}
         self.state_digest = digest_bytes(b"initial-state")
-        self.exec_history_hash = GENESIS_HISTORY  # Zyzzyva history chain
 
         # -- buffer pools (§4.8): message objects and transaction objects
         self.message_pool = BufferPool(
@@ -197,8 +183,7 @@ class Replica:
             enabled=config.buffer_pool,
         )
 
-        # -- primary-side sequencing ----------------------------------------
-        self.next_batch_sequence = 1
+        # -- primary-side admission ----------------------------------------
         self._seen_requests: set = set()
         #: out-of-order ablation: a capacity-1 token gate (§4.5)
         self._consensus_token: Optional[SimQueue] = None
@@ -244,18 +229,12 @@ class Replica:
                 self.sim.spawn(
                     self._execute_loop(), name=f"{self.replica_id}.execute"
                 )
-            if isinstance(self.engine, InstanceCoordinator):
+            if self.engine.rebalances:
                 self.sim.spawn(
                     self._balance_loop(), name=f"{self.replica_id}.balance"
                 )
         for i in range(config.output_threads):
             self.sim.spawn(self._output_loop(i), name=f"{self.replica_id}.output-{i}")
-
-    @property
-    def is_primary(self) -> bool:
-        if isinstance(self.engine, InstanceCoordinator):
-            return self.engine.leads_any()
-        return self.engine.primary_of(self.engine.view) == self.replica_id
 
     @property
     def committed_watermark(self) -> int:
@@ -271,20 +250,12 @@ class Replica:
         """Highest sequence actually executed, in order."""
         return self.next_exec_sequence - 1
 
-    def current_primary(self) -> str:
-        if isinstance(self.engine, InstanceCoordinator):
-            # multi-primary: "the" primary is lane 0's (for attribution
-            # only; forwarding uses the request's steer lane instead)
-            return self.engine.instances[0].primary_of(
-                self.engine.instances[0].view
-            )
-        return self.engine.primary_of(self.engine.view)
-
-    def _forward_target_for(self, request: ClientRequest) -> str:
-        """Where a non-leading replica forwards this client request."""
-        if isinstance(self.engine, InstanceCoordinator):
-            return self.engine.forward_target(request.sender, request.request_id)
-        return self.current_primary()
+    def _forward(self, request: ClientRequest) -> None:
+        """Send a client request on to the replica that can propose it."""
+        self._enqueue_output(
+            self.engine.forward_target(request.sender, request.request_id),
+            request,
+        )
 
     # ==================================================================
     # input threads (§4.1)
@@ -339,10 +310,10 @@ class Replica:
             if not accepted:
                 self._reject_request(message, "queue", admitted=False)
             return
-        if not self.is_primary:
+        if not self.engine.is_primary:
             # forward to the current primary (client may not know the view)
             self.forwarded_requests += 1
-            self._enqueue_output(self._forward_target_for(message), message)
+            self._forward(message)
             # classic PBFT: adopting a forwarded request arms a probe — if
             # the system makes no progress before it fires, the primary is
             # suspected and a view change begins
@@ -428,11 +399,10 @@ class Replica:
             reason,
             retry_after_ns=self.config.client_retransmit or 0,
         )
-        if isinstance(self.engine, InstanceCoordinator):
-            # name the busy lane so RCC clients can steer away from it
-            nack.instance = self.engine.steer_instance(
-                request.sender, request.request_id
-            )
+        lane = self.engine.nack_lane(request.sender, request.request_id)
+        if lane is not None:
+            # name the busy lane so clients can steer away from it
+            nack.instance = lane
         self.flow.nacks_sent += 1
         self.flow.nacked_keys.add((request.sender, request.request_id))
         self._enqueue_output(request.sender, nack)
@@ -509,45 +479,30 @@ class Replica:
         batch.digest = digest_bytes(batch.batch_bytes())
         if self._consensus_token is not None:
             yield self._consensus_token.get()  # out-of-order disabled
-        if not self.is_primary:
+        engine = self.engine
+        if not engine.is_primary:
             # view changed while this batch was being formed; forward the
             # raw requests to the new primary
             for request in valid_requests:
-                self._enqueue_output(self._forward_target_for(request), request)
-            if self._consensus_token is not None:
-                self._consensus_token.put_nowait(None)
+                self._forward(request)
+            self._release_token()
             return
-        if config.protocol == "pbft":
-            sequence = self.next_batch_sequence
-            self.next_batch_sequence += 1
-            proposal, actions = self.engine.make_preprepare(
-                sequence, batch.digest, batch
-            )
-        elif config.protocol == "rcc":
-            try:
-                proposal, actions = self.engine.propose(batch.digest, batch)
-            except ProposalError:
-                # every led lane wedged mid-flight (view changes); re-steer
-                # the raw requests to their lanes' new primaries
-                for request in valid_requests:
-                    self._enqueue_output(
-                        self._forward_target_for(request), request
-                    )
-                if self._consensus_token is not None:
-                    self._consensus_token.put_nowait(None)
-                return
-        elif config.protocol == "zyzzyva":
-            # the Zyzzyva engine assigns the sequence and extends the
-            # primary history hash; charge that hash here
+        if engine.propose_hash_bytes:
+            # the engine extends a history hash as it assigns the sequence
             yield self.cpu.run(
-                digest_cost(64, config.crypto_costs), thread_id
+                digest_cost(engine.propose_hash_bytes, config.crypto_costs),
+                thread_id,
             )
-            proposal, actions = self.engine.make_order_request(batch.digest, batch)
-        else:
-            proposal, actions = self.engine.make_propose(batch.digest, batch)
+        try:
+            proposal, actions = engine.propose(batch.digest, batch)
+        except ProposalError:
+            # e.g. a view change against this primary began meanwhile
+            self._return_unproposed(valid_requests)
+            self._release_token()
+            return
         # the batch now owns a sequence number: these requests are past
-        # the point where overload shedding may touch them.  (An RCC
-        # proposal's sequence is already the global round-robin slot.)
+        # the point where overload shedding may touch them.  (A proposal's
+        # sequence is the execution sequence, e.g. RCC's global slot.)
         for request in valid_requests:
             self._sequenced_keys.add((request.sender, request.request_id))
         self.admission.on_propose(proposal.sequence)
@@ -563,6 +518,24 @@ class Replica:
             spans.link_batch(proposal.sequence, keys)
             spans.stamp_sequence(proposal.sequence, "propose", now)
         yield from self._dispatch(actions, thread_id)
+
+    def _return_unproposed(self, requests: List[ClientRequest]) -> None:
+        """The engine refused to propose these requests: undo their
+        admission and hand each one on, to the replica that can propose
+        it or, when that is still this one, back to its client as a
+        busy-NACK to retry."""
+        for request in requests:
+            target = self.engine.forward_target(request.sender, request.request_id)
+            if target == self.replica_id:
+                self._reject_request(request, "view-change")
+                continue
+            self._seen_requests.discard((request.sender, request.request_id))
+            self.admission.release_client(request.sender)
+            self._enqueue_output(target, request)
+
+    def _release_token(self) -> None:
+        if self._consensus_token is not None:
+            self._consensus_token.put_nowait(None)
 
     def _digest_cost_for(self, batch: RequestBatch) -> int:
         """CPU ns to digest a batch.
@@ -708,15 +681,11 @@ class Replica:
                     "commit",  # PBFT: broadcasting Commit == prepared
                     "poe-support",  # PoE: broadcasting Support == endorsed
                 ):
-                    sequence = action.message.sequence
-                    if isinstance(self.engine, InstanceCoordinator):
-                        # lane-local sequence → the global slot spans track
-                        sequence = global_sequence(
-                            action.message.instance,
-                            sequence,
-                            self.engine.num_instances,
-                        )
-                    spans.stamp_sequence(sequence, "prepare", self.sim.now)
+                    spans.stamp_sequence(
+                        self.engine.execution_sequence(action.message),
+                        "prepare",
+                        self.sim.now,
+                    )
                 receivers = [
                     rid for rid in self.system.replica_ids if rid != self.replica_id
                 ]
@@ -798,8 +767,6 @@ class Replica:
 
     def _on_vc_timeout(self, sequence: int) -> None:
         self._vc_timers.pop(sequence, None)
-        if not isinstance(self.engine, (PbftReplica, InstanceCoordinator)):
-            return
         actions = self.engine.on_view_change_timeout(sequence)
         if actions:
             self.sim.spawn(
@@ -808,9 +775,7 @@ class Replica:
             )
 
     def _arm_forward_probe(self) -> None:
-        if self._forward_probe is not None or not isinstance(
-            self.engine, (PbftReplica, InstanceCoordinator)
-        ):
+        if self._forward_probe is not None or not self.engine.has_view_change:
             return
         self._forward_probe = (len(self.executed_log), self.engine.view)
         Timer(self.sim, self.config.view_change_timeout, self._on_forward_probe)
@@ -844,16 +809,8 @@ class Replica:
         # requests admitted by the old primary are re-proposed or
         # retransmitted under the new view; dropping the stale per-client
         # counts keeps the admission budget from leaking across views
-        if not self.is_primary:
+        if not self.engine.is_primary:
             self.admission.clear_backlog()
-        # a fresh primary must sequence above everything it has seen
-        if isinstance(self.engine, PbftReplica):
-            high = max(
-                [self.engine.stable_sequence, self.next_exec_sequence - 1]
-                + list(self.engine.slots),
-                default=0,
-            )
-            self.next_batch_sequence = max(self.next_batch_sequence, high + 1)
 
     # ==================================================================
     # ordered execution (§4.5–§4.6)
@@ -917,8 +874,8 @@ class Replica:
             # design that §4.6's commit-certificate blocks avoid)
             cost += digest_cost(256, config.crypto_costs)
         cost += costs.block_create_ns
-        if isinstance(self.engine, ZyzzyvaReplica):
-            cost += digest_cost(96, config.crypto_costs)  # history extension
+        if self.engine.execute_hash_bytes:  # execution-history extension
+            cost += digest_cost(self.engine.execute_hash_bytes, config.crypto_costs)
         yield self.cpu.run(cost, thread_id)
 
         # phase 2: mutate everything atomically (one simulated instant) so
@@ -932,11 +889,7 @@ class Replica:
                         else:
                             self.store.read(op.key)
         self._append_block(action, batch)
-        if isinstance(self.engine, ZyzzyvaReplica):
-            # h_n = H(h_{n-1} || d_n)
-            self.exec_history_hash = extend_history(
-                self.exec_history_hash, batch.digest or ""
-            )
+        self.engine.record_execution(batch.digest or "")
         self.executed_log.append((action.sequence, batch.digest or ""))
         self.state_digest = digest_bytes(
             f"{self.state_digest}|{batch.digest}".encode("utf-8")
@@ -963,7 +916,7 @@ class Replica:
         if self.checkpoints.is_checkpoint_sequence(action.sequence):
             yield from self._emit_checkpoint(action.sequence, thread_id)
 
-        if self._consensus_token is not None and self.is_primary:
+        if self._consensus_token is not None and self.engine.is_primary:
             self._consensus_token.put_nowait(None)
 
     def _append_block(self, action: ExecuteReady, batch: RequestBatch) -> None:
@@ -983,15 +936,11 @@ class Replica:
                     (rid, b"speculative")
                     for rid in self.system.replica_ids[: self.quorum.commit_quorum]
                 )
-        if isinstance(self.engine, InstanceCoordinator):
-            proposer = self.engine.proposer_of(action.sequence, action.view)
-        else:
-            proposer = self.engine.primary_of(action.view)
         block = Block(
             sequence=action.sequence,
             digest=batch.digest or "",
             view=action.view,
-            proposer=proposer,
+            proposer=self.engine.proposer_of(action.sequence, action.view),
             txn_count=batch.txn_count,
             prev_hash=prev_hash,
             commit_certificate=certificate,
@@ -1017,7 +966,7 @@ class Replica:
                     action.view,
                     action.sequence,
                     result_digest=batch.digest or "",
-                    history_hash=self.exec_history_hash,
+                    history_hash=self.engine.exec_history_hash,
                 )
             else:
                 message = ClientResponse(
@@ -1180,19 +1129,7 @@ class Replica:
         }
         if response.blocks:
             self.chain.adopt(response.blocks, response.pruned_through)
-        if isinstance(self.engine, InstanceCoordinator):
-            # fold the adopted entries into the per-lane commit logs so
-            # the unification invariant (executed ⊆ lane commits) holds
-            # across recovery
-            self.engine.absorb_adopted_log(response.log_slice)
-        self.engine.advance_stable(response.executed_sequence)
-        # adopting a quorum-attested state is proof the system is live; a
-        # lone, never-quorate primary suspicion would otherwise wedge this
-        # replica in in_view_change forever
-        if isinstance(self.engine, PbftReplica) and self.engine.in_view_change:
-            self.engine.in_view_change = False
-        if isinstance(self.engine, InstanceCoordinator):
-            self.engine.clear_view_change_wedges()
+        self.engine.adopt_state(response.executed_sequence, response.log_slice)
         self._recovering = False
         self.recoveries_completed += 1
         self.system.metrics.counter("recoveries").increment()

@@ -176,42 +176,6 @@ class ResilientDBSystem:
             else:
                 replica.store.preload(table)
 
-    def contact_replica(self) -> str:
-        """Where clients send new requests (the initial primary; replicas
-        forward if the view has moved on)."""
-        return self.replica_ids[0]
-
-    def steer_replica(self, sender: str, request_id: int) -> str:
-        """Where a client sends one specific request.
-
-        Multi-primary RCC spreads clients across the ``num_primaries``
-        instance primaries (the point of concurrent consensus: §4.2's
-        single-primary ingest bottleneck disappears); deterministic
-        hashing means replicas compute the same steer lane when
-        re-forwarding.  Single-primary protocols keep the classic
-        contact-the-primary behaviour.
-        """
-        if self.config.protocol != "rcc":
-            return self.contact_replica()
-        import zlib
-
-        lane = (
-            zlib.crc32(sender.encode("utf-8")) + request_id
-        ) % self.config.num_primaries
-        return self.replica_ids[lane]
-
-    def lane_primaries(self) -> Tuple[str, ...]:
-        """The current primary of every consensus lane — the replicas a
-        client may contact.  Clients honouring per-lane Busy signals
-        rotate across these instead of hammering one busy lane."""
-        if self.config.protocol != "rcc":
-            return (self.contact_replica(),)
-        coordinator = self.replicas[self.replica_ids[0]].engine
-        return tuple(
-            coordinator.lane_primary(lane)
-            for lane in range(self.config.num_primaries)
-        )
-
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------

@@ -43,7 +43,7 @@ from repro.consensus.base import (
     Action,
     Broadcast,
     CancelViewChangeTimer,
-    EnterView,
+    Engine,
     ExecuteReady,
     NotPrimaryError,
     ProposalError,
@@ -66,16 +66,14 @@ class MultiProposal:
     message: PrePrepare
 
 
-class InstanceCoordinator:
-    """m concurrent PBFT instances unified into one global order.
+class InstanceCoordinator(Engine):
+    """m concurrent PBFT instances unified into one global order, behind
+    the same :class:`~repro.consensus.base.Engine` contract as a single
+    PBFT engine."""
 
-    Mirrors the slice of the :class:`~repro.consensus.pbft.PbftReplica`
-    interface the replica pipeline drives (message handlers,
-    ``advance_stable``, ``on_view_change_timeout``, ``suspect_primary``)
-    so the host treats it as just another engine.
-    """
-
-    protocol_name = "rcc"
+    has_view_change = True
+    rebalances = True
+    client_lanes = True
 
     #: a lane must lag the committing lane by at least this many full
     #: round-robin rounds before its watchdog view-change timer is armed
@@ -120,8 +118,6 @@ class InstanceCoordinator:
             )
             for k in range(num_instances)
         ]
-        #: next lane-local sequence this replica would propose per lane
-        self._next_propose: List[int] = [1] * num_instances
         #: contiguous committed lane-local prefix per lane
         self.frontier: List[int] = [0] * num_instances
         #: committed lane sequences above the frontier (gap tracking)
@@ -184,13 +180,19 @@ class InstanceCoordinator:
             if instance.is_primary and not instance.in_view_change
         ]
 
-    def leads_any(self) -> bool:
+    @property
+    def is_primary(self) -> bool:
         return bool(self.lanes_led())
 
     def proposer_of(self, global_seq: int, view: int) -> str:
         """Primary that proposed ``global_seq`` (for block attribution)."""
         lane = instance_of(global_seq, self.num_instances)
         return self.instances[lane].primary_of(view)
+
+    def execution_sequence(self, message) -> int:
+        return global_sequence(
+            message.instance, message.sequence, self.num_instances
+        )
 
     # ------------------------------------------------------------------
     # client steering
@@ -201,6 +203,16 @@ class InstanceCoordinator:
         return (
             zlib.crc32(sender.encode("utf-8")) + request_id
         ) % self.num_instances
+
+    nack_lane = steer_instance
+
+    def steer_target(self, sender: str, request_id: int) -> str:
+        """Clients send straight to the view-0 primary of the request's
+        lane, spreading ingest over the m lane primaries."""
+        return self.replica_ids[self.steer_instance(sender, request_id)]
+
+    def lane_primaries(self) -> Tuple[str, ...]:
+        return tuple(self.lane_primary(lane) for lane in range(self.num_instances))
 
     def lane_primary(self, lane: int) -> str:
         """Current primary of one lane (the next view's primary while the
@@ -238,13 +250,9 @@ class InstanceCoordinator:
             )
         lane = lanes[self._lane_rr % len(lanes)]
         self._lane_rr += 1
-        sequence = self._next_propose[lane]
-        self._next_propose[lane] = sequence + 1
-        message, actions = self.instances[lane].make_preprepare(
-            sequence, digest, batch
-        )
+        message, actions = self.instances[lane].propose(digest, batch)
         proposal = MultiProposal(
-            sequence=global_sequence(lane, sequence, self.num_instances),
+            sequence=global_sequence(lane, message.sequence, self.num_instances),
             instance=lane,
             message=message,
         )
@@ -263,23 +271,20 @@ class InstanceCoordinator:
             high = max(
                 self.frontier[lane],
                 max(instance.slots, default=0),
-                self._next_propose[lane] - 1,
+                instance.next_sequence - 1,
             )
             target = max(target, high)
         actions: List[Action] = []
         for lane in self.lanes_led():
+            instance = self.instances[lane]
             proposed = 0
             while (
-                self._next_propose[lane] <= target
+                instance.next_sequence <= target
                 and proposed < self.MAX_SKIPS_PER_BALANCE
             ):
-                sequence = self._next_propose[lane]
-                self._next_propose[lane] = sequence + 1
                 batch = make_null_batch()
                 try:
-                    _msg, inner = self.instances[lane].make_preprepare(
-                        sequence, batch.digest, batch
-                    )
+                    _msg, inner = instance.propose(batch.digest, batch)
                 except ProposalError:
                     break
                 actions.extend(self._translate(lane, inner))
@@ -387,25 +392,23 @@ class InstanceCoordinator:
                     s for s in self._committed[lane] if s > lane_stable
                 }
                 self._advance_frontier(lane)
-            self._next_propose[lane] = max(
-                self._next_propose[lane], lane_stable + 1
-            )
+            instance.next_sequence = max(instance.next_sequence, lane_stable + 1)
         return dropped
 
-    def absorb_adopted_log(self, log_slice) -> None:
+    def adopt_state(self, executed_sequence: int, log_slice) -> None:
         """State-transfer adoption: fold the adopted (global sequence,
         digest) entries into the per-lane commit logs and frontiers so the
         unification invariant (executed ⊆ unified commits) survives
-        recovery and stale watchdog timers disarm."""
+        recovery and stale watchdog timers disarm, then hand every lane
+        the new stable point."""
         for global_seq, digest in log_slice:
             lane = instance_of(global_seq, self.num_instances)
             self._record_commit(
                 lane, instance_sequence(global_seq, self.num_instances), digest
             )
-
-    def clear_view_change_wedges(self) -> None:
-        """Recovery adopted a quorum-attested state: the system is live,
-        so lone never-quorate suspicions must not wedge any lane."""
+        self.advance_stable(executed_sequence)
+        # the system is live, so lone never-quorate suspicions must not
+        # wedge any lane
         for instance in self.instances:
             instance.in_view_change = False
 
@@ -470,25 +473,9 @@ class InstanceCoordinator:
                         global_sequence(lane, action.sequence, m)
                     )
                 )
-            elif isinstance(action, EnterView):
-                self._sync_next_propose(lane)
-                out.append(action)
-            else:  # pragma: no cover - future action types
+            else:  # EnterView is lane-local: nothing to remap
                 out.append(action)
         return out
-
-    def _sync_next_propose(self, lane: int) -> None:
-        """Entering a new view: if we are its primary, sequence above
-        everything the lane has seen (the inner engine already re-proposed
-        carried slots and gap fillers, which live in ``slots``)."""
-        instance = self.instances[lane]
-        high = max(
-            instance.stable_sequence,
-            self.frontier[lane],
-            max(instance.slots, default=0),
-            max(self._committed[lane], default=0),
-        )
-        self._next_propose[lane] = max(self._next_propose[lane], high + 1)
 
     def _watchdogs_for_lagging_lanes(self, lane: int) -> List[Action]:
         """A commit in ``lane`` proves the deployment is live; arm

@@ -82,10 +82,8 @@ class Cluster:
             _msg, actions = primary.make_preprepare(
                 sequence, request.digest, request
             )
-        elif isinstance(primary, ZyzzyvaReplica):
-            _msg, actions = primary.make_order_request(request.digest, request)
         else:
-            _msg, actions = primary.make_propose(request.digest, request)
+            _msg, actions = primary.propose(request.digest, request)
         self._apply(primary.replica_id, actions)
         return sequence
 

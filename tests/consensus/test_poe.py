@@ -143,7 +143,7 @@ def test_non_primary_cannot_propose():
     ids = ("r0", "r1", "r2", "r3")
     backup = PoeReplica("r1", ids, quorum)
     with pytest.raises(RuntimeError):
-        backup.make_propose("d", make_request("c", 1))
+        backup.propose("d", make_request("c", 1))
 
 
 def test_advance_stable_gc():
@@ -151,6 +151,6 @@ def test_advance_stable_gc():
     ids = ("r0", "r1", "r2", "r3")
     primary = PoeReplica("r0", ids, quorum)
     for i in range(1, 6):
-        primary.make_propose(f"d{i}", make_request("c", i))
+        primary.propose(f"d{i}", make_request("c", i))
     assert primary.advance_stable(3) == 3
     assert sorted(primary.slots) == [4, 5]

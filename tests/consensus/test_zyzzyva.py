@@ -49,8 +49,8 @@ def test_history_hash_chains():
     quorum = QuorumConfig.for_replicas(4)
     ids = ("r0", "r1", "r2", "r3")
     primary = ZyzzyvaReplica("r0", ids, quorum)
-    first, _ = primary.make_order_request("d1", make_request("c", 1))
-    second, _ = primary.make_order_request("d2", make_request("c", 2))
+    first, _ = primary.propose("d1", make_request("c", 1))
+    second, _ = primary.propose("d2", make_request("c", 2))
     assert first.history_hash == extend_history(GENESIS_HISTORY, "d1")
     assert second.history_hash == extend_history(first.history_hash, "d2")
     assert first.history_hash != second.history_hash
@@ -61,7 +61,7 @@ def test_non_primary_cannot_order():
     ids = ("r0", "r1", "r2", "r3")
     backup = ZyzzyvaReplica("r1", ids, quorum)
     with pytest.raises(RuntimeError):
-        backup.make_order_request("d", make_request("c", 1))
+        backup.propose("d", make_request("c", 1))
 
 
 def test_order_request_from_non_primary_rejected():
@@ -94,7 +94,7 @@ def test_equivocating_order_request_rejected():
     request_b = make_request("c", 2)
     backup.handle_order_request(OrderRequest("r0", 0, 1, request_a.digest, "h", request_a))
     backup.handle_order_request(OrderRequest("r0", 0, 1, request_b.digest, "h", request_b))
-    assert backup.accepted[1] == request_a.digest
+    assert backup.slots[1] == request_a.digest
     assert backup.rejected_messages == 1
 
 
@@ -102,7 +102,7 @@ def test_speculative_flag_set():
     cluster = Cluster(4, protocol="zyzzyva")
     request = make_request("client0", 1)
     primary = cluster.replicas["r0"]
-    _msg, actions = primary.make_order_request(request.digest, request)
+    _msg, actions = primary.propose(request.digest, request)
     execute = [a for a in actions if isinstance(a, ExecuteReady)][0]
     assert execute.speculative
     assert execute.commit_proof == ()
@@ -148,9 +148,9 @@ def test_advance_stable_gc():
     ids = ("r0", "r1", "r2", "r3")
     primary = ZyzzyvaReplica("r0", ids, quorum)
     for i in range(1, 6):
-        primary.make_order_request(f"d{i}", make_request("c", i))
+        primary.propose(f"d{i}", make_request("c", i))
     assert primary.advance_stable(3) == 3
-    assert sorted(primary.accepted) == [4, 5]
+    assert sorted(primary.slots) == [4, 5]
 
 
 def test_sequence_window_rejection():

@@ -85,10 +85,10 @@ def test_request_batch_size_accounting():
 
 def test_current_primary_tracks_engine_view(system):
     replica = system.replicas["r1"]
-    assert replica.current_primary() == "r0"
+    assert replica.engine.forward_target("client0", 0) == "r0"
     replica.engine.view = 1
-    assert replica.current_primary() == "r1"
-    assert replica.is_primary
+    assert replica.engine.forward_target("client0", 0) == "r1"
+    assert replica.engine.is_primary
 
 
 def test_batch_txns_counts_transactions():

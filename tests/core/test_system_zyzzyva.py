@@ -37,7 +37,7 @@ def test_history_hashes_agree(zyz_config):
     # replicas at the same execution point share the same history hash
     by_length = {}
     for rid, replica in system.replicas.items():
-        by_length.setdefault(lengths[rid], set()).add(replica.exec_history_hash)
+        by_length.setdefault(lengths[rid], set()).add(replica.engine.exec_history_hash)
     for hashes in by_length.values():
         assert len(hashes) == 1
 
