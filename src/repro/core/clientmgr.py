@@ -80,8 +80,6 @@ class ClientGroup:
             record_count=self.config.ycsb_records,
             ops_per_txn=self.config.ops_per_txn,
             padding_bytes=self.config.payload_padding_bytes,
-            write_fraction=self.config.write_fraction,
-            theta=self.config.ycsb_theta,
         )
         self.next_request_id = 0
         self.pending: Dict[int, PendingRequest] = {}
@@ -89,21 +87,14 @@ class ClientGroup:
         config = self.config
         base_retry = config.client_retransmit or millis(5)
         self.backoff = RetransmitBackoff(
-            base=base_retry,
-            factor=config.retransmit_backoff_factor,
-            cap=config.retransmit_backoff_max,
-            jitter=config.retransmit_jitter,
-            rng=system.rng.fork(f"{self.name}.flow"),
+            base=base_retry, rng=system.rng.fork(f"{self.name}.flow")
         )
         # the AIMD pending window; by default every logical client may
         # have its one request in flight (no windowing until congestion)
         initial = config.client_window_initial or logical_clients
         self.window = AIMDWindow(
             initial=max(1, min(initial, logical_clients)),
-            min_size=min(config.client_window_min, max(1, logical_clients)),
             max_size=logical_clients,
-            additive=config.client_window_additive,
-            decrease=config.client_window_decrease,
             cooldown=base_retry,
         )
         #: logical clients whose next request awaits window room

@@ -8,13 +8,11 @@ machines, one worker-thread, one execute-thread and two batch-threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.schemes import SchemeName
 from repro.sim.clock import millis, seconds
-from repro.storage.base import StorageCosts
 from repro.storage.blockchain import CertificationMode
 
 
@@ -71,15 +69,10 @@ class SystemConfig:
     #: "rcc"): instance k's view-0 primary is replica k.  Ignored by the
     #: single-primary protocols.
     num_primaries: int = 1
-    #: how often an RCC lane leader runs its balance pass, committing
-    #: null-batch skip certificates for lanes that fell behind the merge
-    rcc_balance_interval: int = millis(2)
 
     # -- pipeline (Figures 6a/6b) ---------------------------------------
     batch_threads: int = 2  # "B" in Fig. 8; 0 = worker does batching
     execute_threads: int = 1  # "E" in Fig. 8; 0 = worker executes inline
-    input_threads: int = 3  # 1 client + 2 replica collectors (§4.1)
-    output_threads: int = 2
 
     # -- workload (§5.1) -------------------------------------------------
     num_clients: int = 32_000
@@ -91,14 +84,7 @@ class SystemConfig:
     batch_size: int = 100
     ops_per_txn: int = 1  # Fig. 11
     payload_padding_bytes: int = 0  # Fig. 12
-    #: how long a batch-thread waits for its batch to fill before
-    #: proposing a partial one.  Bounds latency at low load; under load
-    #: batches always fill.  (Without it, medium loads degenerate into
-    #: near-empty batches and consensus overhead explodes.)
-    batch_fill_timeout: int = millis(2)
     ycsb_records: int = 600_000
-    ycsb_theta: float = 0.99
-    write_fraction: float = 1.0
 
     # -- cryptography (Fig. 13) ------------------------------------------
     client_scheme: SchemeName = SchemeName.ED25519
@@ -110,7 +96,6 @@ class SystemConfig:
     #: checkpoint period in *transactions* ("once per 10K transactions")
     checkpoint_txns: int = 10_000
     buffer_pool: bool = True
-    buffer_pool_capacity: int = 4_096
 
     # -- design ablations -------------------------------------------------
     #: §4.5 out-of-order consensus; False serialises the primary to one
@@ -124,13 +109,6 @@ class SystemConfig:
     #: Fig. 7 "No Execution" vs "Execution"
     execution_enabled: bool = True
 
-    # -- network ----------------------------------------------------------
-    one_way_latency_us: float = 100.0
-    #: effective per-VM goodput.  GCP c2-standard-8 is rated 16 Gbps, but
-    #: sustained many-stream TCP goodput lands well below line rate; 7 Gbps
-    #: reproduces where the message-size experiment becomes network-bound
-    nic_gbps: float = 7.0
-
     # -- timers -----------------------------------------------------------
     view_change_timeout: int = seconds(5)
     #: how long a Zyzzyva client waits for all 3f+1 responses before the
@@ -141,23 +119,17 @@ class SystemConfig:
     #: PBFT client retransmission period; None disables the timer (the
     #: steady-state experiments never need it — enable for failure tests)
     client_retransmit: Optional[int] = None
-    #: how often a recovering replica re-requests state transfer until it
-    #: has caught up past every execution gap
-    state_transfer_retry: int = millis(50)
 
     # -- overload protection (repro.flow) ----------------------------------
-    #: back-pressure policy for bounded pipeline queues: "block" parks the
-    #: producer, "shed_oldest" evicts the oldest queued item (NACKing shed
-    #: client requests), "reject" refuses the new arrival with a busy-nack
+    #: back-pressure policy for the bounded batch queue: "block" parks the
+    #: producer, "shed_oldest" evicts the oldest queued request (NACKing
+    #: it), "reject" refuses the new arrival with a busy-nack
     queue_policy: str = "block"
-    #: per-stage queue bounds; None leaves a queue unbounded (the default,
-    #: matching the paper's deployment).  The work-queue bound applies to
-    #: client requests only — protocol messages are never shed.
+    #: bound on the batch-threads' common queue of client requests; None
+    #: leaves it unbounded (the default, matching the paper's deployment).
+    #: Every other pipeline queue is unbounded, so protocol messages are
+    #: never shed.
     batch_queue_capacity: Optional[int] = None
-    work_queue_capacity: Optional[int] = None
-    checkpoint_queue_capacity: Optional[int] = None
-    output_queue_capacity: Optional[int] = None
-    inbox_capacity: Optional[int] = None
     #: primary admission control: cap consensus instances proposed but not
     #: yet executed / requests admitted per client group; requests over a
     #: cap get a busy-nack instead of queueing.  None disables the cap.
@@ -166,14 +138,6 @@ class SystemConfig:
     #: client AIMD pending window: initial size (None → every logical
     #: client in flight, i.e. no windowing until a NACK shrinks it)
     client_window_initial: Optional[int] = None
-    client_window_min: int = 1
-    client_window_additive: int = 1
-    client_window_decrease: float = 0.5
-    #: retransmission backoff: delay(n) = min(base * factor**n, max) plus
-    #: a deterministic jitter fraction; base is ``client_retransmit``
-    retransmit_backoff_factor: float = 2.0
-    retransmit_backoff_max: Optional[int] = None
-    retransmit_jitter: float = 0.1
 
     # -- measurement --------------------------------------------------------
     warmup: int = millis(150)
@@ -213,11 +177,6 @@ class SystemConfig:
     #: (0 = aggregate only; export needs retained spans)
     span_keep_finished: int = 0
 
-    # -- cost models ---------------------------------------------------------
-    work_costs: WorkCosts = field(default_factory=WorkCosts)
-    crypto_costs: CryptoCosts = field(default_factory=lambda: DEFAULT_COSTS)
-    storage_costs: StorageCosts = field(default_factory=StorageCosts)
-
     # ------------------------------------------------------------------
     def __post_init__(self):
         from repro.engines import ENGINES
@@ -228,8 +187,6 @@ class SystemConfig:
             raise ValueError("BFT needs at least 4 replicas")
         if not 1 <= self.num_primaries <= self.num_replicas:
             raise ValueError("num_primaries must be in [1, num_replicas]")
-        if self.rcc_balance_interval < 1:
-            raise ValueError("rcc_balance_interval must be >= 1 tick")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.client_batch_txns < 1:
@@ -240,8 +197,6 @@ class SystemConfig:
             raise ValueError("client_groups must be in [1, num_clients]")
         if self.storage_backend not in ("memory", "sqlite"):
             raise ValueError(f"unknown storage backend {self.storage_backend!r}")
-        if self.input_threads < 1 or self.output_threads < 1:
-            raise ValueError("need at least one input and one output thread")
         if self.batch_threads < 0 or self.execute_threads < 0:
             raise ValueError("thread counts must be >= 0")
         if self.execute_threads > 1:
@@ -262,28 +217,13 @@ class SystemConfig:
             )
         for knob in (
             "batch_queue_capacity",
-            "work_queue_capacity",
-            "checkpoint_queue_capacity",
-            "output_queue_capacity",
-            "inbox_capacity",
             "admission_max_inflight",
             "admission_max_per_client",
             "client_window_initial",
-            "retransmit_backoff_max",
         ):
             value = getattr(self, knob)
             if value is not None and value < 1:
                 raise ValueError(f"{knob} must be >= 1, got {value}")
-        if self.client_window_min < 1:
-            raise ValueError("client_window_min must be >= 1")
-        if self.client_window_additive < 1:
-            raise ValueError("client_window_additive must be >= 1")
-        if not 0.0 < self.client_window_decrease < 1.0:
-            raise ValueError("client_window_decrease must be in (0, 1)")
-        if self.retransmit_backoff_factor < 1.0:
-            raise ValueError("retransmit_backoff_factor must be >= 1.0")
-        if not 0.0 <= self.retransmit_jitter <= 1.0:
-            raise ValueError("retransmit_jitter must be in [0, 1]")
 
     # ------------------------------------------------------------------
     @property

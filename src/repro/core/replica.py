@@ -53,10 +53,12 @@ from repro.consensus.messages import (
     RequestBatch,
     SpecResponse,
 )
+from repro.core.config import WorkCosts
 from repro.engines import make_engine
 from repro.flow import AdmissionController, FlowStats
 from repro.crypto.hashing import digest_bytes, digest_cost
 from repro.net.message import Message
+from repro.sim.clock import millis
 from repro.sim.events import SimEvent, Timer
 from repro.sim.queues import SimPriorityQueue, SimQueue
 from repro.sim.resources import CpuScheduler
@@ -66,6 +68,26 @@ from repro.storage.checkpoints import CheckpointStore
 from repro.storage.memstore import InMemoryKVStore
 from repro.storage.sqlstore import SqliteKVStore
 from repro.workloads.transactions import OpType
+
+#: simulated CPU cost of each non-crypto pipeline work item
+WORK_COSTS = WorkCosts()
+#: how long a batch-thread waits for its batch to fill before proposing a
+#: partial one.  Bounds latency at low load; under load batches always
+#: fill.  (Without it, medium loads degenerate into near-empty batches and
+#: consensus overhead explodes.)
+BATCH_FILL_TIMEOUT = millis(2)
+#: how often an RCC lane leader runs its balance pass, committing
+#: null-batch skip certificates for lanes that fell behind the merge
+RCC_BALANCE_INTERVAL = millis(2)
+#: how often a recovering replica re-requests state transfer until it has
+#: caught up past every execution gap
+STATE_TRANSFER_RETRY = millis(50)
+#: free-list size of the message buffer pool (§4.8); the transaction pool
+#: holds this many batches' worth of transaction objects
+BUFFER_POOL_CAPACITY = 4_096
+#: 1 client + 2 replica input collectors (§4.1)
+INPUT_THREADS = 3
+OUTPUT_THREADS = 2
 
 
 class Replica:
@@ -100,52 +122,24 @@ class Replica:
         self._sequenced_keys: set = set()
 
         # -- queues between stages --------------------------------------
-        policy = config.queue_policy
+        # only the batch-threads' common queue of client requests may be
+        # bounded; every other stage queue is unbounded
         self.batch_queue = SimQueue(
             self.sim,
             f"{replica_id}.batch-q",
             capacity=config.batch_queue_capacity,
-            policy=policy,
+            policy=config.queue_policy,
             on_shed=self._on_batch_shed,
         )
         # protocol messages outrank client requests so that, in the 0B
         # degenerate pipeline where the worker also batches, a backlog of
-        # unverified client requests cannot starve quorum progress; the
-        # capacity bound applies to client requests only
-        self.work_queue = SimPriorityQueue(
-            self.sim,
-            f"{replica_id}.work-q",
-            capacity=config.work_queue_capacity,
-            policy=policy,
-            on_shed=self._on_batch_shed,
-        )
-        self.checkpoint_queue = SimQueue(
-            self.sim,
-            f"{replica_id}.ckpt-q",
-            capacity=config.checkpoint_queue_capacity,
-            policy=policy,
-            on_shed=self._on_message_shed,
-        )
-        # output queues are fed by non-process callers (timers, NACK
-        # paths), which cannot park — so the "block" policy leaves them
-        # unbounded and back-pressure applies upstream instead
+        # unverified client requests cannot starve quorum progress
+        self.work_queue = SimPriorityQueue(self.sim, f"{replica_id}.work-q")
+        self.checkpoint_queue = SimQueue(self.sim, f"{replica_id}.ckpt-q")
         self.output_queues = [
-            SimQueue(
-                self.sim,
-                f"{replica_id}.out-q{i}",
-                capacity=(
-                    config.output_queue_capacity if policy != "block" else None
-                ),
-                policy=policy,
-                on_shed=self._on_message_shed,
-            )
-            for i in range(config.output_threads)
+            SimQueue(self.sim, f"{replica_id}.out-q{i}")
+            for i in range(OUTPUT_THREADS)
         ]
-        if config.inbox_capacity is not None:
-            inbox = self.endpoint.inbox
-            inbox.capacity = config.inbox_capacity
-            inbox.policy = policy
-            inbox.on_shed = self._on_inbox_shed
 
         # -- ordered execution state (§4.6) ------------------------------
         self.exec_pending: Dict[int, ExecuteReady] = {}
@@ -154,9 +148,9 @@ class Replica:
 
         # -- durable state ------------------------------------------------
         if config.storage_backend == "memory":
-            self.store = InMemoryKVStore(config.storage_costs)
+            self.store = InMemoryKVStore()
         else:
-            self.store = SqliteKVStore(config.storage_costs)
+            self.store = SqliteKVStore()
         self.chain = Blockchain(
             first_primary=replica_ids[0],
             mode=config.certification,
@@ -175,11 +169,11 @@ class Replica:
 
         # -- buffer pools (§4.8): message objects and transaction objects
         self.message_pool = BufferPool(
-            object, config.buffer_pool_capacity, enabled=config.buffer_pool
+            object, BUFFER_POOL_CAPACITY, enabled=config.buffer_pool
         )
         self.txn_pool = BufferPool(
             object,
-            min(config.buffer_pool_capacity * max(1, config.batch_size), 500_000),
+            min(BUFFER_POOL_CAPACITY * max(1, config.batch_size), 500_000),
             enabled=config.buffer_pool,
         )
 
@@ -216,7 +210,7 @@ class Replica:
     def start(self) -> None:
         """Spawn every pipeline thread."""
         config = self.config
-        for i in range(config.input_threads):
+        for i in range(INPUT_THREADS):
             self.sim.spawn(self._input_loop(i), name=f"{self.replica_id}.input-{i}")
         for i in range(config.batch_threads):
             self.sim.spawn(self._batch_loop(i), name=f"{self.replica_id}.batch-{i}")
@@ -233,7 +227,7 @@ class Replica:
                 self.sim.spawn(
                     self._balance_loop(), name=f"{self.replica_id}.balance"
                 )
-        for i in range(config.output_threads):
+        for i in range(OUTPUT_THREADS):
             self.sim.spawn(self._output_loop(i), name=f"{self.replica_id}.output-{i}")
 
     @property
@@ -262,51 +256,36 @@ class Replica:
     # ==================================================================
     def _input_loop(self, index: int):
         thread_id = f"{self.replica_id}.input-{index}"
-        costs = self.config.work_costs
         inbox = self.endpoint.inbox
         while True:
             message = yield inbox.get()
-            yield self.cpu.run(costs.input_dispatch_ns, thread_id)
+            yield self.cpu.run(WORK_COSTS.input_dispatch_ns, thread_id)
             kind = message.kind
             if kind == "client-request":
                 yield from self._route_client_request(message, thread_id)
             elif kind == "checkpoint":
-                accepted = yield from self._stage_put(
-                    self.checkpoint_queue, message
-                )
-                if not accepted:
-                    self.flow.shed_messages += 1
+                self.checkpoint_queue.put_nowait(message)
             else:
-                # protocol messages ride at priority 0, which the work
-                # queue's capacity bound never applies to
                 self.work_queue.put_nowait(message)
 
-    def _stage_put(self, queue, item, priority: Optional[int] = None):
-        """Enqueue ``item`` under the queue's policy from a process
-        context; the generator's return value says whether it got in
-        (``block`` parks the caller until it does)."""
+    def _put_batch_queue(self, item):
+        """Enqueue ``item`` on the batch queue under its policy from a
+        process context; the generator's return value says whether it got
+        in (``block`` parks the caller until it does)."""
+        queue = self.batch_queue
         if queue.capacity is None:
-            if priority is None:
-                queue.put_nowait(item)
-            else:
-                queue.put_nowait(item, priority)
+            queue.put_nowait(item)
             return True
         if queue.policy == "block":
-            if priority is None:
-                accepted = yield queue.put(item)
-            else:
-                accepted = yield queue.put(item, priority)
+            accepted = yield queue.put(item)
             return accepted
-        if priority is None:
-            return queue.offer(item)
-        return queue.offer(item, priority)
+        return queue.offer(item)
 
     def _route_client_request(self, message: ClientRequest, thread_id: str):
-        costs = self.config.work_costs
         if not self.config.consensus_enabled:
             # Fig. 7 upper-bound mode: requests go straight to the
             # independent responder threads
-            accepted = yield from self._stage_put(self.batch_queue, message)
+            accepted = yield from self._put_batch_queue(message)
             if not accepted:
                 self._reject_request(message, "queue", admitted=False)
             return
@@ -333,14 +312,12 @@ class Replica:
         spans = self.system.spans
         if spans.enabled:
             spans.stamp(key, "input", self.sim.now)
-        yield self.cpu.run(costs.sequence_assign_ns, thread_id)
-        if self.config.batch_threads:
-            accepted = yield from self._stage_put(self.batch_queue, message)
-        else:
+        yield self.cpu.run(WORK_COSTS.sequence_assign_ns, thread_id)
+        if not self.config.batch_threads:
             # 0B: the worker batches; client requests ride at low priority
-            accepted = yield from self._stage_put(
-                self.work_queue, message, priority=1
-            )
+            self.work_queue.put_nowait(message, 1)
+            return
+        accepted = yield from self._put_batch_queue(message)
         if not accepted:
             self._reject_request(message, "queue")
 
@@ -358,11 +335,8 @@ class Replica:
         self.flow.rejected_requests += 1
         self._send_busy_nack(message, reason)
 
-    def _on_batch_shed(self, item) -> None:
-        """shed_oldest evicted ``item`` from the batch or work queue."""
-        if not isinstance(item, ClientRequest):
-            self.flow.shed_messages += 1
-            return
+    def _on_batch_shed(self, item: ClientRequest) -> None:
+        """shed_oldest evicted ``item`` from the batch queue."""
         key = (item.sender, item.request_id)
         if key in self._sequenced_keys:
             # must be unreachable: requests gain a sequence number only
@@ -373,22 +347,6 @@ class Replica:
         self._seen_requests.discard(key)
         self.admission.release_client(item.sender)
         self._send_busy_nack(item, "shed")
-
-    def _on_message_shed(self, item) -> None:
-        """shed_oldest evicted a non-request item (checkpoint vote or an
-        outbound (dst, message) pair) — counted, nothing to NACK."""
-        self.flow.shed_messages += 1
-
-    def _on_inbox_shed(self, item) -> None:
-        """shed_oldest evicted an undispatched inbound message."""
-        self.system.network.dropped_messages += 1
-        if isinstance(item, ClientRequest):
-            key = (item.sender, item.request_id)
-            self.flow.shed_requests += 1
-            self.flow.shed_keys.append(key)
-            self._send_busy_nack(item, "shed")
-        else:
-            self.flow.shed_messages += 1
 
     def _send_busy_nack(self, request: ClientRequest, reason: str) -> None:
         """Tell the client its request was turned away (unsigned — a NACK
@@ -422,7 +380,7 @@ class Replica:
             requests = [first]
             # fill the batch; if arrivals stall, the fill deadline bounds
             # how long early requests wait for stragglers
-            deadline = self.sim.now + self.config.batch_fill_timeout
+            deadline = self.sim.now + BATCH_FILL_TIMEOUT
             while self._batch_txns(requests) < self.config.batch_size:
                 if len(self.batch_queue) > 0:
                     requests.append(self.batch_queue.get_nowait())
@@ -443,7 +401,7 @@ class Replica:
     def _form_and_propose(self, requests: List[ClientRequest], thread_id: str):
         """Verify, assemble, digest and propose one consensus batch."""
         config = self.config
-        costs = config.work_costs
+        costs = WORK_COSTS
         client_scheme = self.system.client_scheme
         valid_requests = []
         for request in requests:
@@ -489,10 +447,7 @@ class Replica:
             return
         if engine.propose_hash_bytes:
             # the engine extends a history hash as it assigns the sequence
-            yield self.cpu.run(
-                digest_cost(engine.propose_hash_bytes, config.crypto_costs),
-                thread_id,
-            )
+            yield self.cpu.run(digest_cost(engine.propose_hash_bytes), thread_id)
         try:
             proposal, actions = engine.propose(batch.digest, batch)
         except ProposalError:
@@ -545,15 +500,13 @@ class Replica:
         setup cost once per request plus a combining hash, which is what
         batching was introduced to avoid.
         """
-        crypto = self.config.crypto_costs
         total_bytes = len(batch.batch_bytes())
         if not self.config.per_request_digests:
-            return digest_cost(total_bytes, crypto)
+            return digest_cost(total_bytes)
         per_request = sum(
-            digest_cost(request.payload_bytes(), crypto)
-            for request in batch.requests
+            digest_cost(request.payload_bytes()) for request in batch.requests
         )
-        return per_request + digest_cost(32 * len(batch.requests), crypto)
+        return per_request + digest_cost(32 * len(batch.requests))
 
     # ==================================================================
     # worker thread (§4.3–§4.4)
@@ -611,7 +564,7 @@ class Replica:
                     flush_armed = True
                     Timer(
                         self.sim,
-                        self.config.batch_fill_timeout,
+                        BATCH_FILL_TIMEOUT,
                         self.work_queue.put_nowait,
                         Replica._FLUSH_BATCH,
                         0,
@@ -624,7 +577,6 @@ class Replica:
 
     def _handle_protocol_message(self, message: Message, thread_id: str):
         config = self.config
-        costs = config.work_costs
         scheme = self.system.replica_scheme
         # commit certificates come from clients, signed with their scheme
         if message.kind == "commit-certificate":
@@ -638,7 +590,7 @@ class Replica:
             if not ok:
                 self.invalid_messages += 1
                 return
-        yield self.cpu.run(costs.worker_message_ns, thread_id)
+        yield self.cpu.run(WORK_COSTS.worker_message_ns, thread_id)
         if message.kind == "state-request":
             yield from self._serve_state_transfer(message, thread_id)
             return
@@ -728,11 +680,7 @@ class Replica:
 
     def _enqueue_output(self, dst: str, message) -> None:
         index = zlib.crc32(dst.encode("utf-8")) % len(self.output_queues)
-        queue = self.output_queues[index]
-        if queue.capacity is None:
-            queue.put_nowait((dst, message))
-        elif not queue.offer((dst, message)):
-            self.flow.shed_messages += 1
+        self.output_queues[index].put_nowait((dst, message))
 
     # ==================================================================
     # multi-primary (RCC) lane balancing
@@ -746,9 +694,8 @@ class Replica:
         from repro.sim.events import Timeout
 
         thread_id = f"{self.replica_id}.worker"
-        interval = max(1, self.config.rcc_balance_interval)
         while True:
-            yield Timeout(interval)
+            yield Timeout(RCC_BALANCE_INTERVAL)
             if self._recovering:
                 continue
             actions = self.engine.balance_actions()
@@ -847,8 +794,8 @@ class Replica:
 
     def _execute_batch(self, action: ExecuteReady, thread_id: str):
         config = self.config
-        costs = config.work_costs
-        storage = config.storage_costs
+        costs = WORK_COSTS
+        storage = self.store.costs
         batch: RequestBatch = action.request
         # execution is in order, so this releases every consensus
         # instance at or below the sequence from the admission budget
@@ -872,10 +819,10 @@ class Replica:
         if config.certification is CertificationMode.PREV_HASH:
             # traditional chaining: hash the previous block (the costly
             # design that §4.6's commit-certificate blocks avoid)
-            cost += digest_cost(256, config.crypto_costs)
+            cost += digest_cost(256)
         cost += costs.block_create_ns
         if self.engine.execute_hash_bytes:  # execution-history extension
-            cost += digest_cost(self.engine.execute_hash_bytes, config.crypto_costs)
+            cost += digest_cost(self.engine.execute_hash_bytes)
         yield self.cpu.run(cost, thread_id)
 
         # phase 2: mutate everything atomically (one simulated instant) so
@@ -949,8 +896,6 @@ class Replica:
 
     def _respond_to_clients(self, action, batch: RequestBatch, thread_id: str):
         """One response message per client group with requests in the batch."""
-        config = self.config
-        costs = config.work_costs
         by_group: Dict[str, List[int]] = {}
         for request in batch.requests:
             by_group.setdefault(request.sender, []).append(request.request_id)
@@ -976,7 +921,7 @@ class Replica:
                     action.sequence,
                     result_digest=batch.digest or "",
                 )
-            yield self.cpu.run(costs.response_create_ns, thread_id)
+            yield self.cpu.run(WORK_COSTS.response_create_ns, thread_id)
             # client-bound messages go through the adversary too — a
             # byzantine replica's power includes lying to clients, and
             # policies like ConflictingVoter corrupt response digests to
@@ -998,7 +943,7 @@ class Replica:
     def _emit_checkpoint(self, sequence: int, thread_id: str):
         config = self.config
         self.checkpoint_digests[sequence] = self.state_digest
-        yield self.cpu.run(digest_cost(4096, config.crypto_costs), thread_id)
+        yield self.cpu.run(digest_cost(4096), thread_id)
         message = Checkpoint(
             self.replica_id,
             sequence,
@@ -1031,7 +976,7 @@ class Replica:
         from repro.consensus.messages import StateTransferRequest
         from repro.sim.events import Timeout
 
-        retry_delay = max(self.config.state_transfer_retry, 1)
+        retry_delay = STATE_TRANSFER_RETRY
         peers = [
             rid for rid in self.system.replica_ids if rid != self.replica_id
         ]
@@ -1076,8 +1021,8 @@ class Replica:
         )
         snapshot = None
         snapshot_records = 0
-        if self.config.apply_state and hasattr(self.store, "_records"):
-            snapshot = dict(self.store._records)
+        if self.config.apply_state:
+            snapshot = self.store.snapshot()
             snapshot_records = len(snapshot)
         response = StateTransferResponse(
             self.replica_id,
@@ -1091,7 +1036,7 @@ class Replica:
         )
         # building the snapshot costs real CPU proportional to its size
         yield self.cpu.run(
-            self.config.work_costs.execute_op_ns
+            WORK_COSTS.execute_op_ns
             + snapshot_records * 50,
             thread_id,
         )
@@ -1115,10 +1060,7 @@ class Replica:
     def _adopt_state(self, response) -> None:
         """f+1 peers agree: install the transferred state."""
         if response.snapshot is not None:
-            if hasattr(self.store, "_records"):
-                self.store._records = dict(response.snapshot)
-            else:  # pragma: no cover - sqlite backend
-                self.store.preload(response.snapshot)
+            self.store.restore(response.snapshot)
         self.executed_log.extend(response.log_slice)
         self.state_digest = response.state_digest
         self.next_exec_sequence = response.executed_sequence + 1
@@ -1147,7 +1089,6 @@ class Replica:
     def _checkpoint_loop(self):
         thread_id = f"{self.replica_id}.checkpoint"
         config = self.config
-        costs = config.work_costs
         scheme = self.system.replica_scheme
         while True:
             message = yield self.checkpoint_queue.get()
@@ -1160,7 +1101,7 @@ class Replica:
                 if not ok:
                     self.invalid_messages += 1
                     continue
-            yield self.cpu.run(costs.checkpoint_vote_ns, thread_id)
+            yield self.cpu.run(WORK_COSTS.checkpoint_vote_ns, thread_id)
             self._record_checkpoint_vote(
                 message.sequence, message.state_digest, message.sender
             )
@@ -1201,11 +1142,10 @@ class Replica:
     # ==================================================================
     def _output_loop(self, index: int):
         thread_id = f"{self.replica_id}.output-{index}"
-        costs = self.config.work_costs
         queue = self.output_queues[index]
         while True:
             dst, message = yield queue.get()
-            yield self.cpu.run(costs.output_send_ns, thread_id)
+            yield self.cpu.run(WORK_COSTS.output_send_ns, thread_id)
             self.system.network.send(self.replica_id, dst, message)
 
     # ==================================================================
@@ -1215,7 +1155,8 @@ class Replica:
         """Independent responder thread: verify, (optionally) execute,
         reply straight to the client."""
         config = self.config
-        costs = config.work_costs
+        costs = WORK_COSTS
+        storage = self.store.costs
         client_scheme = self.system.client_scheme
         sequence = 0
         while True:
@@ -1239,9 +1180,9 @@ class Replica:
                         ops += 1
                         cost += costs.execute_op_ns
                         cost += (
-                            config.storage_costs.memory_write_ns
+                            storage.memory_write_ns
                             if op.op_type is OpType.WRITE
-                            else config.storage_costs.memory_read_ns
+                            else storage.memory_read_ns
                         )
                 yield self.cpu.run(cost, thread_id)
                 if config.apply_state:

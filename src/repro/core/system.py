@@ -26,7 +26,6 @@ from repro.crypto.schemes import make_scheme
 from repro.net.faults import FaultPlan
 from repro.net.topology import Topology
 from repro.net.transport import Network
-from repro.sim.clock import micros
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import DeterministicRNG
@@ -100,12 +99,8 @@ class ResilientDBSystem:
         self.metrics = MetricsRegistry(self.sim)
         self.quorum = QuorumConfig(n=config.num_replicas, f=config.f)
 
-        topology = Topology(
-            one_way_latency_ns=micros(config.one_way_latency_us),
-            nic_gbps=config.nic_gbps,
-        )
         self.faults = FaultPlan(self.rng.fork("faults"))
-        self.network = Network(self.sim, topology=topology, faults=self.faults)
+        self.network = Network(self.sim, topology=Topology(), faults=self.faults)
         self.metrics.register_resettable(self.network)
 
         from repro.sim.tracing import Tracer
@@ -134,12 +129,8 @@ class ResilientDBSystem:
         group_names = [f"client{i}" for i in range(config.client_groups)]
         for identity in list(self.replica_ids) + group_names:
             self.keystore.register(identity)
-        self.client_scheme = make_scheme(
-            config.client_scheme, self.keystore, config.crypto_costs
-        )
-        self.replica_scheme = make_scheme(
-            config.replica_scheme, self.keystore, config.crypto_costs
-        )
+        self.client_scheme = make_scheme(config.client_scheme, self.keystore)
+        self.replica_scheme = make_scheme(config.replica_scheme, self.keystore)
 
         # -- nodes ----------------------------------------------------------
         self.replicas: Dict[str, Replica] = {
@@ -347,13 +338,13 @@ class ResilientDBSystem:
                 replica.chain.validate()
         # replicas that executed exactly the same number of batches must
         # have identical state
-        if self.config.apply_state and self.config.storage_backend == "memory":
+        if self.config.apply_state:
             by_length: Dict[int, Dict[str, Dict[str, str]]] = {}
             for rid, replica in self.replicas.items():
                 if rid in faulty_set:
                     continue
                 by_length.setdefault(len(replica.executed_log), {})[rid] = (
-                    replica.store._records
+                    replica.store.snapshot()
                 )
             for states in by_length.values():
                 check_state_convergence(states)

@@ -48,10 +48,10 @@ def _overload_knobs(rng: DeterministicRNG, batch_size: int) -> dict:
 
     Lossy policies are only ever applied where the protocol tolerates
     loss: the batch queue (client requests, recovered by NACK + client
-    retransmission) and admission control.  Protocol queues (work,
-    checkpoint, output, inbox) stay unbounded — shedding quorum votes
-    would manufacture liveness failures the oracles would then blame on
-    the protection machinery.
+    retransmission) and admission control.  The protocol queues (work,
+    checkpoint, output, inbox) cannot be bounded at all — shedding quorum
+    votes would manufacture liveness failures the oracles would then
+    blame on the protection machinery.
     """
     policy = rng.choice(("reject", "reject", "shed_oldest", "block"))
     knobs = {

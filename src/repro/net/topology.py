@@ -16,17 +16,14 @@ from repro.sim.clock import NANOS_PER_SEC, micros
 class Topology:
     """Network parameters shared by all endpoints.
 
-    ``nic_gbps`` is the per-endpoint link rate.  GCP c2-standard-8 instances
-    get ~16 Gbps egress; we default to 10 Gbps, which reproduces where the
+    ``nic_gbps`` is the per-endpoint effective goodput.  GCP c2-standard-8
+    instances are rated 16 Gbps, but sustained many-stream TCP goodput
+    lands well below line rate; the 7 Gbps default reproduces where the
     message-size experiment becomes network-bound.
     """
 
     one_way_latency_ns: int = micros(100)
-    nic_gbps: float = 10.0
-
-    #: extra per-message latency jitter bound (uniform, deterministic RNG);
-    #: zero keeps runs exactly reproducible unless an experiment opts in.
-    jitter_ns: int = 0
+    nic_gbps: float = 7.0
 
     def transmission_ns(self, size_bytes: int) -> int:
         """Time for ``size_bytes`` to cross one NIC at the link rate."""

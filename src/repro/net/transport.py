@@ -27,10 +27,9 @@ from repro.sim.queues import SimQueue
 class Endpoint:
     """One network-attached node (replica or client group)."""
 
-    def __init__(self, network: "Network", name: str, nic_gbps: Optional[float]):
+    def __init__(self, network: "Network", name: str):
         self.network = network
         self.name = name
-        self.nic_gbps = nic_gbps  # None = topology default
         sim = network.sim
         #: messages ready for the node's input threads
         self.inbox = SimQueue(sim, name=f"{name}.inbox")
@@ -39,27 +38,22 @@ class Endpoint:
         sim.spawn(self._tx_loop(), name=f"{name}.tx-nic")
         sim.spawn(self._rx_loop(), name=f"{name}.rx-nic")
 
-    def _transmission_ns(self, size_bytes: int) -> int:
-        if self.nic_gbps is None:
-            return self.network.topology.transmission_ns(size_bytes)
-        bits = size_bytes * 8
-        return int(bits / (self.nic_gbps * 1e9) * 1e9)
-
     def _tx_loop(self):
         network = self.network
         sim = network.sim
         while True:
             dst, message, size = yield self._tx_queue.get()
-            tx_ns = self._transmission_ns(size)
+            tx_ns = network.topology.transmission_ns(size)
             if tx_ns:
                 yield tx_ns
                 network.nic_busy.add(tx_ns)
             if network.faults.should_deliver(self.name, dst, sim.now):
-                latency = network.topology.one_way_latency_ns
-                if network.topology.jitter_ns:
-                    latency += sim.rng.randint(0, network.topology.jitter_ns)
                 endpoint = network.endpoints[dst]
-                sim.schedule(latency, endpoint._rx_queue.put_nowait, (message, size))
+                sim.schedule(
+                    network.topology.one_way_latency_ns,
+                    endpoint._rx_queue.put_nowait,
+                    (message, size),
+                )
             else:
                 network.dropped_messages += 1
 
@@ -68,23 +62,13 @@ class Endpoint:
         sim = network.sim
         while True:
             message, size = yield self._rx_queue.get()
-            tx_ns = self._transmission_ns(size)
+            tx_ns = network.topology.transmission_ns(size)
             if tx_ns:
                 yield tx_ns
             if network.faults.is_crashed(self.name, sim.now):
                 network.dropped_messages += 1
                 continue
-            inbox = self.inbox
-            if inbox.capacity is None:
-                inbox.put_nowait(message)
-            elif inbox.policy == "block":
-                # back-pressure onto the RX NIC: delivery stalls (and the
-                # RX queue grows) until the input threads catch up
-                yield inbox.put(message)
-            elif not inbox.offer(message):
-                # "reject" refused the newest arrival; shed_oldest drops
-                # are accounted by the inbox's on_shed callback instead
-                network.dropped_messages += 1
+            self.inbox.put_nowait(message)
 
 
 class Network:
@@ -115,11 +99,11 @@ class Network:
         self.dropped_messages = 0
         self.nic_busy.reset()
 
-    def register(self, name: str, nic_gbps: Optional[float] = None) -> Endpoint:
+    def register(self, name: str) -> Endpoint:
         """Attach an endpoint; returns its handle (with ``inbox``)."""
         if name in self.endpoints:
             raise ValueError(f"endpoint {name!r} already registered")
-        endpoint = Endpoint(self, name, nic_gbps)
+        endpoint = Endpoint(self, name)
         self.endpoints[name] = endpoint
         return endpoint
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,15 @@ class KVStore:
 
     def size(self) -> int:
         """Number of records currently stored."""
+        raise NotImplementedError
+
+    def snapshot(self) -> Dict[str, str]:
+        """Every record, as a fresh dict (state transfer, convergence
+        checks)."""
+        raise NotImplementedError
+
+    def restore(self, records: Dict[str, str]) -> None:
+        """Replace the whole store with ``records`` (state transfer)."""
         raise NotImplementedError
 
     def close(self) -> None:

@@ -36,6 +36,12 @@ class InMemoryKVStore(KVStore):
     def size(self) -> int:
         return len(self._records)
 
+    def snapshot(self) -> Dict[str, str]:
+        return dict(self._records)
+
+    def restore(self, records: Dict[str, str]) -> None:
+        self._records = dict(records)
+
     def preload(self, records: Dict[str, str]) -> None:
         """Bulk-load the initial table (free of simulated cost — the paper
         initialises each replica with an identical YCSB table before the

@@ -12,7 +12,7 @@ leaks into simulated results; tests that need durability pass a path.
 from __future__ import annotations
 
 import sqlite3
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.storage.base import KVStore, StorageCosts
 
@@ -52,6 +52,13 @@ class SqliteKVStore(KVStore):
 
     def size(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]
+
+    def snapshot(self) -> Dict[str, str]:
+        return dict(self._conn.execute("SELECT key, value FROM records"))
+
+    def restore(self, records: Dict[str, str]) -> None:
+        self._conn.execute("DELETE FROM records")
+        self.preload(records)
 
     def preload(self, records) -> None:
         """Bulk-load the initial table without simulated cost."""

@@ -43,8 +43,6 @@ def test_checkpoint_period_in_batches():
         {"client_groups": 0},
         {"client_groups": 100, "num_clients": 50},
         {"storage_backend": "rocksdb"},
-        {"input_threads": 0},
-        {"output_threads": 0},
         {"batch_threads": -1},
         {"execute_threads": 2},
         {"cores_per_replica": 0},

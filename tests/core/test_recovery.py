@@ -47,6 +47,40 @@ def test_recovered_state_converges(recovery_config):
     recovered.chain.validate()
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_state_transfer_installs_records_for_every_backend(backend):
+    """Regression: a recovering SQLite replica adopted the peers' log and
+    state digest but kept its stale records, because the transfer only
+    carried a snapshot for the in-memory store."""
+    config = SystemConfig(
+        num_replicas=4,
+        num_clients=24,
+        client_groups=4,
+        batch_size=6,
+        ycsb_records=200,
+        storage_backend=backend,
+        view_change_timeout=seconds(10),
+        warmup=millis(10),
+        measure=millis(110),
+    )
+    system = ResilientDBSystem(config)
+    system.faults.crash_at("r3", millis(20))
+    system.recover_replica("r3", at_ns=millis(60))
+    for group in system.client_groups:
+        system.faults.crash_at(group.name, millis(100))
+    system.run()
+    system.sim.run(until=system.sim.now + millis(100))  # let replicas settle
+    recovered = system.replicas["r3"]
+    healthy = system.replicas["r1"]
+    assert recovered.recoveries_completed >= 1
+    logs = {len(replica.executed_log) for replica in system.replicas.values()}
+    assert len(logs) == 1
+    assert recovered.state_digest == healthy.state_digest
+    assert recovered.store.snapshot() == healthy.store.snapshot()
+    system.validate_safety()
+    system.close()
+
+
 def test_recovery_counter_in_metrics(recovery_config):
     system = ResilientDBSystem(recovery_config)
     system.faults.crash_at("r3", millis(100))

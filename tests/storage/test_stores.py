@@ -42,6 +42,17 @@ def test_preload_and_size(store):
     assert value == "value42"
 
 
+def test_snapshot_and_restore_replace_every_record(store):
+    store.preload({"a": "1", "b": "2"})
+    snapshot = store.snapshot()
+    assert snapshot == {"a": "1", "b": "2"}
+    store.write("a", "changed")
+    assert snapshot["a"] == "1"  # a copy, not a view
+    store.restore({"b": "3", "c": "4"})
+    assert store.snapshot() == {"b": "3", "c": "4"}
+    assert store.read("a")[0] is None
+
+
 def test_access_counters(store):
     store.write("a", "1")
     store.read("a")
