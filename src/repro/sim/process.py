@@ -50,23 +50,23 @@ class Process:
         except Exception as exc:
             self._finish_error(exc)
             return
-        self._dispatch(effect)
-
-    def _dispatch(self, effect: Any) -> None:
-        from repro.sim.events import SimEvent, Timeout
-
         if isinstance(effect, int):
             self.sim.schedule(effect, self.resume, None)
-        elif isinstance(effect, (Timeout, SimEvent)):
-            effect._bind(self.sim, self)
-        elif isinstance(effect, Process):
-            effect.completion._bind(self.sim, self)
-        elif hasattr(effect, "_bind"):
-            effect._bind(self.sim, self)
-        else:
+            return
+        # every other effect (Timeout, SimEvent, Process, queue and CPU
+        # effects) knows how to park the process until it completes
+        try:
+            bind = effect._bind
+        except AttributeError:
             self._finish_error(
                 TypeError(f"process {self.name!r} yielded non-effect {effect!r}")
             )
+            return
+        bind(self.sim, self)
+
+    def _bind(self, sim, process) -> None:
+        """Effect: join — resume ``process`` when this one finishes."""
+        self.completion._bind(sim, process)
 
     def _finish(self, result: Any) -> None:
         self.finished = True

@@ -5,9 +5,8 @@ from repro.core import ResilientDBSystem, SystemConfig
 from repro.sim.clock import millis, seconds
 
 
-def test_closed_loop_keeps_in_flight_constant(small_config):
-    system = ResilientDBSystem(small_config)
-    system.run()
+def test_closed_loop_keeps_in_flight_constant(small_pbft_run):
+    system, _result = small_pbft_run
     for group in system.client_groups:
         # every logical client has exactly one request outstanding
         assert len(group.pending) == group.logical_clients
@@ -29,16 +28,14 @@ def test_clients_split_across_groups():
     assert max(sizes) - min(sizes) <= 1
 
 
-def test_request_ids_unique_per_group(small_config):
-    system = ResilientDBSystem(small_config)
-    system.run()
+def test_request_ids_unique_per_group(small_pbft_run):
+    system, _result = small_pbft_run
     group = system.client_groups[0]
     assert group.next_request_id >= group.completed_requests
 
 
-def test_latency_recorded_per_completion(small_config):
-    system = ResilientDBSystem(small_config)
-    result = system.run()
+def test_latency_recorded_per_completion(small_pbft_run):
+    system, result = small_pbft_run
     histogram = system.metrics.histogram("request_latency")
     assert histogram.count == result.completed_requests
     assert histogram.mean_seconds() > 0

@@ -114,8 +114,8 @@ def test_multiop_transactions_execute_all_ops(small_config):
     )
 
 
-def test_payload_padding_increases_wire_bytes(small_config):
-    small = ResilientDBSystem(small_config).run()
+def test_payload_padding_increases_wire_bytes(small_config, small_pbft_run):
+    _system, small = small_pbft_run
     padded_system = ResilientDBSystem(
         small_config.with_options(payload_padding_bytes=4096)
     )

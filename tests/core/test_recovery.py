@@ -6,8 +6,7 @@ from repro.core import ResilientDBSystem, SystemConfig
 from repro.sim.clock import millis, seconds
 
 
-@pytest.fixture
-def recovery_config():
+def _recovery_config():
     return SystemConfig(
         num_replicas=4,
         num_clients=48,
@@ -20,11 +19,24 @@ def recovery_config():
     )
 
 
-def test_recovered_replica_catches_up(recovery_config):
-    system = ResilientDBSystem(recovery_config)
+@pytest.fixture
+def recovery_config():
+    return _recovery_config()
+
+
+@pytest.fixture(scope="module")
+def recovery_run():
+    """One run of the crash-at-100ms, recover-at-300ms scenario, shared by
+    the tests below that only read its outcome."""
+    system = ResilientDBSystem(_recovery_config())
     system.faults.crash_at("r3", millis(100))
     system.recover_replica("r3", at_ns=millis(300))
-    system.run()
+    result = system.run()
+    return system, result
+
+
+def test_recovered_replica_catches_up(recovery_run):
+    system, _result = recovery_run
     recovered = system.replicas["r3"]
     healthy = system.replicas["r1"]
     assert recovered.recoveries_completed >= 1
@@ -33,11 +45,8 @@ def test_recovered_replica_catches_up(recovery_config):
     system.validate_safety()
 
 
-def test_recovered_state_converges(recovery_config):
-    system = ResilientDBSystem(recovery_config)
-    system.faults.crash_at("r3", millis(100))
-    system.recover_replica("r3", at_ns=millis(300))
-    system.run()
+def test_recovered_state_converges(recovery_run):
+    system, _result = recovery_run
     recovered = system.replicas["r3"]
     healthy = system.replicas["r1"]
     # identical executed prefixes imply identical digests position-wise
@@ -81,20 +90,14 @@ def test_state_transfer_installs_records_for_every_backend(backend):
     system.close()
 
 
-def test_recovery_counter_in_metrics(recovery_config):
-    system = ResilientDBSystem(recovery_config)
-    system.faults.crash_at("r3", millis(100))
-    system.recover_replica("r3", at_ns=millis(300))
-    system.run()
+def test_recovery_counter_in_metrics(recovery_run):
+    system, _result = recovery_run
     # warmup reset happens at 50ms, recovery at 300ms: counted
     assert system.metrics.counter("recoveries").value >= 1
 
 
-def test_throughput_survives_crash_and_recovery(recovery_config):
-    system = ResilientDBSystem(recovery_config)
-    system.faults.crash_at("r3", millis(100))
-    system.recover_replica("r3", at_ns=millis(300))
-    result = system.run()
+def test_throughput_survives_crash_and_recovery(recovery_run):
+    _system, result = recovery_run
     assert result.completed_requests > 100
 
 

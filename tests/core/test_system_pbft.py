@@ -6,9 +6,8 @@ from repro.core import ResilientDBSystem, SystemConfig
 from repro.sim.clock import millis
 
 
-def test_end_to_end_progress_and_safety(small_config):
-    system = ResilientDBSystem(small_config)
-    result = system.run()
+def test_end_to_end_progress_and_safety(small_pbft_run):
+    system, result = small_pbft_run
     assert result.completed_requests > 100
     assert result.throughput_txns_per_s > 0
     assert result.latency_mean_s > 0
@@ -16,9 +15,8 @@ def test_end_to_end_progress_and_safety(small_config):
     assert prefix > 0
 
 
-def test_all_replicas_build_identical_chains(small_config):
-    system = ResilientDBSystem(small_config)
-    system.run()
+def test_all_replicas_build_identical_chains(small_pbft_run):
+    system, _result = small_pbft_run
     chains = [replica.chain for replica in system.replicas.values()]
     min_height = min(chain.height for chain in chains)
     assert min_height > 10
@@ -32,9 +30,8 @@ def test_all_replicas_build_identical_chains(small_config):
             assert ours.digest == theirs.digest
 
 
-def test_commit_certificates_embedded_in_blocks(small_config):
-    system = ResilientDBSystem(small_config)
-    system.run()
+def test_commit_certificates_embedded_in_blocks(small_pbft_run):
+    system, _result = small_pbft_run
     primary = system.replicas["r0"]
     block = primary.chain.head()
     signers = {signer for signer, _ in block.commit_certificate}
@@ -53,10 +50,9 @@ def test_checkpoints_stabilise_and_prune(small_config):
         assert len(primary.engine.slots) < primary.chain.height
 
 
-def test_requests_complete_with_quorum_not_all_replicas(small_config):
+def test_requests_complete_with_quorum_not_all_replicas(small_pbft_run):
     """PBFT clients need only f+1 matching responses."""
-    system = ResilientDBSystem(small_config)
-    result = system.run()
+    _system, result = small_pbft_run
     assert result.fast_path_completions == result.completed_requests
     assert result.slow_path_completions == 0
 
@@ -112,23 +108,21 @@ def test_real_auth_tokens_verified_end_to_end(small_config):
     assert result.completed_requests > 0
 
 
-def test_state_convergence_across_replicas(small_config):
-    system = ResilientDBSystem(small_config)
-    system.run()
+def test_state_convergence_across_replicas(small_pbft_run):
+    system, _result = small_pbft_run
     system.validate_safety()  # includes state-convergence check
     primary_store = system.replicas["r0"].store
     assert primary_store.writes > 0
 
 
-def test_saturation_report_covers_pipeline_stages(small_config):
-    system = ResilientDBSystem(small_config)
-    result = system.run()
+def test_saturation_report_covers_pipeline_stages(small_pbft_run):
+    system, result = small_pbft_run
     for stage in ("batch-0", "batch-1", "worker", "execute"):
         assert stage in result.primary_saturation
     assert "worker" in result.backup_saturation
     # a backup never runs batch threads
     assert "batch-0" not in result.backup_saturation
-    assert 0 < result.cumulative_saturation("primary") <= small_config.cores_per_replica
+    assert 0 < result.cumulative_saturation("primary") <= system.config.cores_per_replica
 
 
 def test_crashed_backups_do_not_stop_progress(small_config):

@@ -6,31 +6,44 @@ from repro.core import ResilientDBSystem
 from repro.sim.clock import millis
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def zyz_config(small_config):
     return small_config.with_options(
         protocol="zyzzyva", zyzzyva_client_timeout=millis(20)
     )
 
 
-def test_fast_path_without_failures(zyz_config):
+@pytest.fixture(scope="module")
+def zyz_run(zyz_config):
+    """``(system, result)`` of one healthy Zyzzyva run, shared by the tests
+    that only inspect it."""
     system = ResilientDBSystem(zyz_config)
-    result = system.run()
+    return system, system.run()
+
+
+@pytest.fixture(scope="module")
+def crashed_zyz_run(zyz_config):
+    """``(system, result)`` of one Zyzzyva run with one backup crashed."""
+    system = ResilientDBSystem(zyz_config)
+    system.crash_replicas(1)
+    return system, system.run()
+
+
+def test_fast_path_without_failures(zyz_run):
+    _system, result = zyz_run
     assert result.completed_requests > 100
     # every request completed on the 3f+1 fast path
     assert result.slow_path_completions == 0
     assert result.fast_path_completions == result.completed_requests
 
 
-def test_execution_order_consistent(zyz_config):
-    system = ResilientDBSystem(zyz_config)
-    system.run()
+def test_execution_order_consistent(zyz_run):
+    system, _result = zyz_run
     assert system.validate_safety() > 10
 
 
-def test_history_hashes_agree(zyz_config):
-    system = ResilientDBSystem(zyz_config)
-    system.run()
+def test_history_hashes_agree(zyz_run):
+    system, _result = zyz_run
     lengths = {
         rid: len(replica.executed_log) for rid, replica in system.replicas.items()
     }
@@ -42,10 +55,8 @@ def test_history_hashes_agree(zyz_config):
         assert len(hashes) == 1
 
 
-def test_one_crash_forces_slow_path(zyz_config):
-    system = ResilientDBSystem(zyz_config)
-    system.crash_replicas(1)
-    result = system.run()
+def test_one_crash_forces_slow_path(crashed_zyz_run):
+    _system, result = crashed_zyz_run
     assert result.completed_requests > 0
     assert result.fast_path_completions == 0
     assert result.slow_path_completions == result.completed_requests
@@ -53,18 +64,16 @@ def test_one_crash_forces_slow_path(zyz_config):
     assert result.latency_mean_s >= 0.020
 
 
-def test_crash_collapse_vs_healthy(zyz_config):
-    healthy = ResilientDBSystem(zyz_config).run()
-    crashed_system = ResilientDBSystem(zyz_config)
-    crashed_system.crash_replicas(1)
-    degraded = crashed_system.run()
+def test_crash_collapse_vs_healthy(zyz_run, crashed_zyz_run):
+    _system, healthy = zyz_run
+    _crashed_system, degraded = crashed_zyz_run
     # Fig. 17: a single failure devastates Zyzzyva
     assert degraded.throughput_txns_per_s < healthy.throughput_txns_per_s / 2
     assert degraded.latency_mean_s > 2 * healthy.latency_mean_s
 
 
-def test_pbft_unaffected_by_same_crash(small_config):
-    healthy = ResilientDBSystem(small_config).run()
+def test_pbft_unaffected_by_same_crash(small_config, small_pbft_run):
+    _system, healthy = small_pbft_run
     crashed_system = ResilientDBSystem(small_config)
     crashed_system.crash_replicas(1)
     degraded = crashed_system.run()
@@ -72,19 +81,17 @@ def test_pbft_unaffected_by_same_crash(small_config):
     assert degraded.throughput_txns_per_s > 0.8 * healthy.throughput_txns_per_s
 
 
-def test_zyzzyva_matches_pbft_when_healthy(small_config, zyz_config):
+def test_zyzzyva_matches_pbft_when_healthy(small_pbft_run, zyz_run):
     """Same pipeline, no failures: the single-phase protocol is at least
     as fast as the three-phase one."""
-    pbft = ResilientDBSystem(small_config).run()
-    zyz = ResilientDBSystem(zyz_config).run()
+    _system, pbft = small_pbft_run
+    _zyz_system, zyz = zyz_run
     assert zyz.throughput_txns_per_s >= 0.9 * pbft.throughput_txns_per_s
 
 
-def test_fewer_protocol_messages_than_pbft(small_config, zyz_config):
-    pbft_system = ResilientDBSystem(small_config)
-    pbft = pbft_system.run()
-    zyz_system = ResilientDBSystem(zyz_config)
-    zyz = zyz_system.run()
+def test_fewer_protocol_messages_than_pbft(small_pbft_run, zyz_run):
+    _system, pbft = small_pbft_run
+    _zyz_system, zyz = zyz_run
     pbft_per_request = pbft.messages_sent / max(1, pbft.completed_requests)
     zyz_per_request = zyz.messages_sent / max(1, zyz.completed_requests)
     assert zyz_per_request < pbft_per_request

@@ -23,18 +23,24 @@ def rcc_config(**overrides):
     return SystemConfig(**defaults)
 
 
-def test_end_to_end_progress_and_safety():
+@pytest.fixture(scope="module")
+def rcc_run():
+    """``(system, result)`` of one healthy two-lane run of ``rcc_config()``,
+    shared by the tests that only inspect it."""
     system = ResilientDBSystem(rcc_config())
-    result = system.run()
+    return system, system.run()
+
+
+def test_end_to_end_progress_and_safety(rcc_run):
+    system, result = rcc_run
     assert result.completed_requests > 100
     assert result.throughput_txns_per_s > 0
     prefix = system.validate_safety()
     assert prefix > 0
 
 
-def test_both_lanes_contribute_to_the_global_order():
-    system = ResilientDBSystem(rcc_config())
-    system.run()
+def test_both_lanes_contribute_to_the_global_order(rcc_run):
+    system, _result = rcc_run
     for replica in system.replicas.values():
         engine = replica.engine
         assert engine.frontier[0] > 5
@@ -47,9 +53,8 @@ def test_both_lanes_contribute_to_the_global_order():
         assert checked == len(replica.executed_log) > 10
 
 
-def test_honest_replicas_agree_per_lane():
-    system = ResilientDBSystem(rcc_config())
-    system.run()
+def test_honest_replicas_agree_per_lane(rcc_run):
+    system, _result = rcc_run
     combined = {0: [], 1: []}
     for replica in system.replicas.values():
         for lane, entries in replica.engine.commit_log.items():
