@@ -25,12 +25,15 @@ class ClientRequest(Message):
 
     kind = "client-request"
 
-    __slots__ = ("request_id", "txns", "digest", "sequence")
+    __slots__ = ("request_id", "txns", "digest", "sequence", "_payload_bytes")
 
     def __init__(self, sender: str, request_id: int, txns: Tuple[Transaction, ...]):
         super().__init__(sender)
         self.request_id = request_id
         self.txns = txns
+        # the transactions never change after construction, so neither
+        # does the size (byzantine policies build fresh objects)
+        self._payload_bytes = 16 + sum(txn.wire_bytes() for txn in txns)
         #: SHA-256 of the batch string; computed (and paid for) by the
         #: primary's batch-thread, not here.
         self.digest: Optional[str] = None
@@ -42,7 +45,7 @@ class ClientRequest(Message):
         return len(self.txns)
 
     def payload_bytes(self) -> int:
-        return 16 + sum(txn.wire_bytes() for txn in self.txns)
+        return self._payload_bytes
 
     def batch_bytes(self) -> bytes:
         """The single string representation of the whole batch that the
@@ -62,17 +65,18 @@ class RequestBatch:
     :meth:`batch_bytes` is that string.
     """
 
-    __slots__ = ("requests", "digest", "_batch_bytes")
+    __slots__ = ("requests", "digest", "txn_count", "_payload_bytes", "_batch_bytes")
 
     def __init__(self, requests: Tuple[ClientRequest, ...]):
         self.requests = requests
         #: SHA-256 over :meth:`batch_bytes`, set by the creating thread
         self.digest: Optional[str] = None
+        #: transactions across all requests (fixed, like the requests)
+        self.txn_count: int = sum(len(request.txns) for request in requests)
+        self._payload_bytes = 16 + sum(
+            request.payload_bytes() for request in requests
+        )
         self._batch_bytes: Optional[bytes] = None
-
-    @property
-    def txn_count(self) -> int:
-        return sum(len(request.txns) for request in self.requests)
 
     @property
     def is_null(self) -> bool:
@@ -80,7 +84,7 @@ class RequestBatch:
         return not self.requests
 
     def payload_bytes(self) -> int:
-        return 16 + sum(request.payload_bytes() for request in self.requests)
+        return self._payload_bytes
 
     def batch_bytes(self) -> bytes:
         if self._batch_bytes is None:

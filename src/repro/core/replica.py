@@ -375,28 +375,28 @@ class Replica:
             return
         from repro.sim.events import TIMEOUT
 
+        batch_queue = self.batch_queue
+        batch_size = self.config.batch_size
         while True:
-            first = yield self.batch_queue.get()
+            first = yield batch_queue.get()
             requests = [first]
+            txns = len(first.txns)
             # fill the batch; if arrivals stall, the fill deadline bounds
             # how long early requests wait for stragglers
             deadline = self.sim.now + BATCH_FILL_TIMEOUT
-            while self._batch_txns(requests) < self.config.batch_size:
-                if len(self.batch_queue) > 0:
-                    requests.append(self.batch_queue.get_nowait())
-                    continue
-                remaining = deadline - self.sim.now
-                if remaining <= 0:
-                    break
-                item = yield self.batch_queue.get(timeout=remaining)
-                if item is TIMEOUT:
-                    break
+            while txns < batch_size:
+                if len(batch_queue) > 0:
+                    item = batch_queue.get_nowait()
+                else:
+                    remaining = deadline - self.sim.now
+                    if remaining <= 0:
+                        break
+                    item = yield batch_queue.get(timeout=remaining)
+                    if item is TIMEOUT:
+                        break
                 requests.append(item)
+                txns += len(item.txns)
             yield from self._form_and_propose(requests, thread_id)
-
-    @staticmethod
-    def _batch_txns(requests: List[ClientRequest]) -> int:
-        return sum(len(request.txns) for request in requests)
 
     def _form_and_propose(self, requests: List[ClientRequest], thread_id: str):
         """Verify, assemble, digest and propose one consensus batch."""
@@ -536,6 +536,7 @@ class Replica:
     def _worker_loop(self):
         thread_id = f"{self.replica_id}.worker"
         pending_client_requests: List[ClientRequest] = []
+        pending_txns = 0
         flush_armed = False
         while True:
             message = yield self.work_queue.get()
@@ -546,19 +547,19 @@ class Replica:
                         pending_client_requests,
                         [],
                     )
+                    pending_txns = 0
                     yield from self._form_and_propose(batch_requests, thread_id)
                 continue
             if message.kind == "client-request":
                 # 0B pipeline: the worker performs batching itself
                 pending_client_requests.append(message)
-                if (
-                    self._batch_txns(pending_client_requests)
-                    >= self.config.batch_size
-                ):
+                pending_txns += len(message.txns)
+                if pending_txns >= self.config.batch_size:
                     batch_requests, pending_client_requests = (
                         pending_client_requests,
                         [],
                     )
+                    pending_txns = 0
                     yield from self._form_and_propose(batch_requests, thread_id)
                 elif not flush_armed:
                     flush_armed = True

@@ -50,6 +50,8 @@ class FaultPlan:
         self._recover_at[node] = when_ns
 
     def is_crashed(self, node: str, now: int) -> bool:
+        if not (self._crashed or self._crash_at):
+            return False
         healed_at = self._recover_at.get(node)
         if healed_at is not None and now >= healed_at:
             return False

@@ -22,6 +22,15 @@ from typing import Optional
 #: encoding of the paper's C++ message header costs.
 WIRE_HEADER_BYTES = 64
 
+#: authentication token bytes per copy, by scheme: MAC vectors ship only
+#: the receiver's own token on each copy
+_AUTH_TOKEN_BYTES = {
+    "none": 0,
+    "ed25519": 64,
+    "rsa": 256,
+    "cmac-aes": 16,
+}
+
 _message_ids = itertools.count(1)
 
 
@@ -56,14 +65,7 @@ class Message:
     def auth_bytes(self) -> int:
         if self.auth is None:
             return 0
-        per_token = {
-            "none": 0,
-            "ed25519": 64,
-            "rsa": 256,
-            "cmac-aes": 16,
-        }[self.auth.scheme.value]
-        # MAC vectors ship only the receiver's own token on each copy.
-        return per_token
+        return _AUTH_TOKEN_BYTES[self.auth.scheme.value]
 
     def wire_bytes(self) -> int:
         """Total size used for bandwidth and per-byte crypto costs."""

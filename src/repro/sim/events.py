@@ -108,18 +108,19 @@ class Timer:
     protocol retransmission/view-change timers.
     """
 
-    __slots__ = ("_cancelled", "_fired")
+    __slots__ = ("_fn", "_args", "_cancelled", "_fired")
 
     def __init__(self, sim, delay: int, fn, *args):
+        self._fn = fn
+        self._args = args
         self._cancelled = False
         self._fired = False
+        sim.schedule(delay, self._fire)
 
-        def _fire() -> None:
-            if not self._cancelled:
-                self._fired = True
-                fn(*args)
-
-        sim.schedule(delay, _fire)
+    def _fire(self) -> None:
+        if not self._cancelled:
+            self._fired = True
+            self._fn(*self._args)
 
     def cancel(self) -> None:
         self._cancelled = True

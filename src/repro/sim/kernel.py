@@ -16,6 +16,9 @@ from typing import Any, Callable, Generator, Optional
 from repro.sim.process import Process
 from repro.sim.rng import DeterministicRNG
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 
 class SimulationError(RuntimeError):
     """Raised when a simulation process fails or the kernel is misused."""
@@ -51,8 +54,8 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._sequence += 1
-        heapq.heappush(self._heap, (self.now + int(delay), self._sequence, fn, args))
+        self._sequence = sequence = self._sequence + 1
+        _heappush(self._heap, (self.now + int(delay), sequence, fn, args))
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from a generator; it begins running at the
@@ -78,19 +81,30 @@ class Simulator:
 
         With ``until`` set, runs until the clock would pass ``until`` ticks
         (the clock is then left exactly at ``until``).  Without it, runs
-        until no events remain.  Returns the final clock value.
+        until no events remain.  After :meth:`stop` the clock stays at the
+        stopping event, so pending events are never left in the past.
+        Returns the final clock value.
         """
         self._stopped = False
         heap = self._heap
-        while heap and not self._stopped:
-            when, _seq, fn, args = heap[0]
-            if until is not None and when > until:
-                self.now = until
+        if until is None:
+            while heap:
+                when, _seq, fn, args = _heappop(heap)
+                self.now = when
+                fn(*args)
+                if self._stopped:
+                    break
+            return self.now
+        while heap:
+            entry = _heappop(heap)
+            if entry[0] > until:
+                _heappush(heap, entry)
+                break
+            self.now = entry[0]
+            entry[2](*entry[3])
+            if self._stopped:
                 return self.now
-            heapq.heappop(heap)
-            self.now = when
-            fn(*args)
-        if until is not None and self.now < until:
+        if self.now < until:
             self.now = until
         return self.now
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
+from repro.sim.events import SimEvent
+
 
 class ProcessFailure(RuntimeError):
     """Wraps an exception that escaped a simulation process."""
@@ -29,8 +31,6 @@ class Process:
     __slots__ = ("sim", "generator", "name", "completion", "finished", "result")
 
     def __init__(self, sim, generator: Generator, name: str = ""):
-        from repro.sim.events import SimEvent
-
         self.sim = sim
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")

@@ -28,6 +28,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
+from repro.sim.events import TIMEOUT
+
 #: back-pressure policies a bounded queue can apply at capacity
 QUEUE_POLICIES = ("block", "shed_oldest", "reject")
 
@@ -40,6 +42,13 @@ class _Getter:
     def __init__(self, process):
         self.process = process
         self.active = True
+
+    def _expire(self) -> None:
+        """Timeout of a ``get(timeout=…)``: resume with TIMEOUT unless an
+        item was handed over first."""
+        if self.active:
+            self.active = False
+            self.process.resume(TIMEOUT)
 
 
 class _QueueGet:
@@ -65,14 +74,7 @@ class _QueueGet:
         getter = _Getter(process)
         queue._getters.append(getter)
         if self.timeout is not None:
-            from repro.sim.events import TIMEOUT
-
-            def _expire() -> None:
-                if getter.active:
-                    getter.active = False
-                    process.resume(TIMEOUT)
-
-            sim.schedule(self.timeout, _expire)
+            sim.schedule(self.timeout, getter._expire)
 
 
 class _QueuePut:

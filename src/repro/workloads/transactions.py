@@ -57,6 +57,11 @@ class Transaction:
             raise ValueError("transaction must contain at least one operation")
         if self.padding_bytes < 0:
             raise ValueError(f"padding_bytes must be >= 0, got {self.padding_bytes}")
+        # ops and padding never change after construction; only txn_id and
+        # submitted_at are filled in later, and they are not on the wire
+        self._wire_bytes = (
+            16 + sum(op.wire_bytes() for op in self.ops) + self.padding_bytes
+        )
 
     @property
     def op_count(self) -> int:
@@ -64,7 +69,7 @@ class Transaction:
 
     def wire_bytes(self) -> int:
         """Serialized size: fixed header + operations + padding."""
-        return 16 + sum(op.wire_bytes() for op in self.ops) + self.padding_bytes
+        return self._wire_bytes
 
     def canonical_bytes(self) -> bytes:
         """Stable byte encoding used for digests and request signatures."""

@@ -92,8 +92,6 @@ def test_current_primary_tracks_engine_view(system):
 
 
 def test_batch_txns_counts_transactions():
-    from repro.core.replica import Replica
-
     requests = [
         ClientRequest(
             "c", i,
@@ -104,7 +102,7 @@ def test_batch_txns_counts_transactions():
         )
         for i in range(2)
     ]
-    assert Replica._batch_txns(requests) == 6
+    assert RequestBatch(tuple(requests)).txn_count == 6
 
 
 def test_replica_endpoint_and_cpu_registered(system):

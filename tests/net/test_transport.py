@@ -216,3 +216,100 @@ def test_network_statistics():
     sim.run(until=seconds(1))
     assert network.messages_sent == 1
     assert network.bytes_sent == message.wire_bytes()
+
+
+def test_rx_nic_serialises_two_senders():
+    """Two senders' NICs transmit in parallel, but the receiver's RX NIC
+    takes their messages one after the other."""
+    sim = Simulator()
+    network = Network(sim, topology=Topology(one_way_latency_ns=0, nic_gbps=1.0))
+    for name in ("a", "b", "c"):
+        network.register(name)
+    arrivals = []
+
+    def drain():
+        while True:
+            message = yield network.endpoints["b"].inbox.get()
+            arrivals.append((sim.now, message.sender))
+
+    sim.spawn(drain())
+    network.send("a", "b", Ping("a", body_bytes=100_000))
+    network.send("c", "b", Ping("c", body_bytes=100_000))
+    sim.run(until=seconds(1))
+    tx_ns = Topology(nic_gbps=1.0).transmission_ns(Ping("a", 100_000).wire_bytes())
+    assert arrivals == [(2 * tx_ns, "a"), (3 * tx_ns, "c")]
+
+
+def test_receiver_crashing_in_flight_drops_message():
+    """The TX side delivers (the receiver is up when the message leaves),
+    but the receiver is down when its RX NIC finishes: the message is
+    dropped and counted."""
+    sim = Simulator()
+    network, _a, b = make_network(sim, one_way_latency_ns=micros(100))
+    network.faults.crash_at("b", micros(50))
+    got = []
+    drain_one(sim, b, got)
+    network.send("a", "b", Ping("a"))
+    sim.run(until=seconds(1))
+    assert got == []
+    assert network.messages_sent == 1
+    assert network.dropped_messages == 1
+
+
+def test_sends_before_first_step_arrive_in_fifo_order():
+    """Messages queued before the kernel has run at all keep their order,
+    even when a small message follows a large one."""
+    sim = Simulator()
+    network, _a, b = make_network(sim, one_way_latency_ns=micros(10), nic_gbps=1.0)
+    sizes = [50_000, 10, 20_000, 0, 5]
+    messages = [Ping("a", body_bytes=size) for size in sizes]
+    for message in messages:
+        network.send("a", "b", message)
+    received = []
+
+    def drain():
+        while True:
+            received.append((yield b.inbox.get()))
+
+    sim.spawn(drain())
+    sim.run(until=seconds(1))
+    assert received == messages
+
+
+def test_memoised_sizes_match_the_size_formula():
+    """The sizes computed once at construction equal the formula summed
+    over the transactions, for multi-op padded requests in a batch and the
+    proposal that carries it."""
+    from repro.consensus.messages import ClientRequest, PrePrepare, RequestBatch
+    from repro.workloads import Operation, OpType, Transaction
+
+    def txn(i, padding):
+        ops = (
+            Operation(OpType.WRITE, f"key{i}", "v" * (i + 1)),
+            Operation(OpType.READ, f"k{i}"),
+            Operation(OpType.WRITE, "x", "value"),
+        )
+        return Transaction("client", ops, padding_bytes=padding)
+
+    def txn_formula(t):
+        ops = sum(1 + len(op.key) + len(op.value or "") for op in t.ops)
+        return 16 + ops + t.padding_bytes
+
+    requests = tuple(
+        ClientRequest("client", rid, tuple(txn(i, 8 * i) for i in range(rid + 1)))
+        for rid in range(4)
+    )
+    for request in requests:
+        expected = 16 + sum(txn_formula(t) for t in request.txns)
+        assert request.payload_bytes() == expected
+        assert request.wire_bytes() == WIRE_HEADER_BYTES + expected
+        assert request.txn_count == len(request.txns)
+    batch = RequestBatch(requests)
+    batch_bytes = 16 + sum(
+        16 + sum(txn_formula(t) for t in request.txns) for request in requests
+    )
+    assert batch.payload_bytes() == batch_bytes
+    assert batch.txn_count == sum(len(request.txns) for request in requests) == 10
+    proposal = PrePrepare("r0", 0, 1, "digest", batch)
+    assert proposal.payload_bytes() == 48 + batch_bytes
+    assert proposal.wire_bytes() == WIRE_HEADER_BYTES + 48 + batch_bytes

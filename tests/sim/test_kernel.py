@@ -147,6 +147,28 @@ def test_stop_halts_loop():
     assert len(seen) == 6
 
 
+def test_stop_inside_run_until_leaves_clock_at_the_stop():
+    """A stop must not advance the clock to ``until`` past pending events,
+    or the next run would move time backwards to them."""
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        for _ in range(10):
+            yield Timeout(10)
+            seen.append(sim.now)
+            if sim.now == 30:
+                sim.stop()
+
+    sim.spawn(proc())
+    assert sim.run(until=100) == 30
+    assert sim.now == 30
+    assert sim.peek() == 40
+    sim.run(until=100)
+    assert seen == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
+    assert sim.now == 100
+
+
 def test_determinism_same_seed_same_trace():
     def build_and_run(seed):
         sim = Simulator(seed=seed)
